@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .gaussian import symplectic_eigenvalues
 from .holevo import assemble_total_state, eve_overlaps, gram_oracle_entropy, \
-    single_point_holevo, von_neumann_entropy
+    gram_spectrum, single_point_holevo, von_neumann_entropy
 from .inference import sign_posterior_table, single_point_mi
 from .protocol import ProtocolParams, eve_conditional_means, outcome_density, \
     simulate_relay
@@ -326,11 +326,7 @@ def _validate_spectrum(rng: np.random.Generator, n_draws: int) -> tuple[int, int
         overlaps = eve_overlaps(mags, params)
         rho = assemble_total_state(table, overlaps)
         constructed = np.linalg.eigvalsh(rho.matrix)
-        gram = np.array([[1.0]])
-        for x in overlaps:
-            gram = np.kron(gram, np.array([[1.0, x], [x, 1.0]]))
-        root = np.sqrt(table.probs)
-        oracle = np.linalg.eigvalsh(gram * np.outer(root, root))
+        oracle = gram_spectrum(table.probs, overlaps)
         ok = bool(np.max(np.abs(constructed - oracle)) <= 1e-10)
         ok &= abs(von_neumann_entropy(rho)
                   - gram_oracle_entropy(table.probs, overlaps)) <= 1e-9

@@ -50,6 +50,7 @@ __all__ = [
     "assemble_total_state",
     "assemble_conditional_state",
     "von_neumann_entropy",
+    "gram_spectrum",
     "gram_oracle_entropy",
     "single_point_holevo",
     "single_point_holevo_batch",
@@ -268,8 +269,8 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy_of_eigenvalues(np.linalg.eigvalsh(dm.matrix)))
 
 
-def gram_oracle_entropy(weights, overlaps) -> float:
-    """Mixture entropy via the weighted Gram matrix of the pure states.
+def gram_spectrum(weights, overlaps) -> np.ndarray:
+    """Ascending eigenvalues of the weighted Gram matrix of the pure states.
 
     For rho = sum_m w_m |psi_m><psi_m| the nonzero spectrum equals that of
     G_mn = sqrt(w_m w_n) <psi_m|psi_n>, with the overlaps given by the
@@ -286,8 +287,12 @@ def gram_oracle_entropy(weights, overlaps) -> float:
     for xi in x:
         gram = np.kron(gram, np.array([[1.0, xi], [xi, 1.0]]))
     root = np.sqrt(w)
-    gram = gram * np.outer(root, root)
-    return float(_entropy_of_eigenvalues(np.linalg.eigvalsh(gram)))
+    return np.linalg.eigvalsh(gram * np.outer(root, root))
+
+
+def gram_oracle_entropy(weights, overlaps) -> float:
+    """Mixture entropy in bits from :func:`gram_spectrum`."""
+    return float(_entropy_of_eigenvalues(gram_spectrum(weights, overlaps)))
 
 
 def single_point_holevo(mags, gamma: float, params: ProtocolParams,
@@ -297,7 +302,9 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
     S(total) minus the posterior-weighted average of the two conditional
     entropies.  The exact value lies in [0, 1] bits; a result outside that
     interval by more than 1e-9 (eigensolver slack) raises ValueError, and
-    is never clamped.
+    one within it is projected onto [0, 1], which never moves it further
+    from the exact value (at unit transmissivity the rounding alone gives
+    about -1e-16).
     """
     table = sign_posterior_table(mags, gamma, params)
     overlaps = eve_overlaps(mags, params)
@@ -312,7 +319,7 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
     chi = total - averaged
     if not -1e-9 <= chi <= 1.0 + 1e-9:
         raise ValueError(f"Holevo information {chi} outside [0, 1]")
-    return chi
+    return min(max(chi, 0.0), 1.0)
 
 
 def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,

@@ -4,10 +4,9 @@ Three parties prepare Gaussian-modulated coherent states whose quadrature
 signs carry the raw key material and whose magnitudes are announced.  Each
 channel suffers pure loss (an eavesdropper beamsplitter of transmissivity
 tau_i); the surviving modes are combined in a two-beamsplitter cascade
-(T1 = 1/2 between A and B, then T2 = 2/3 with C) and homodyned.  In the
-first detector configuration the cascade's sum port is measured in p and
-the parties reconcile the p-quadrature signs; the second configuration is
-the q/p mirror image.
+(T1 = 1/2 between A and B, then T2 = 2/3 with C) and homodyned: the two
+relative ports in q and the sum port in p, and the parties reconcile the
+p-quadrature signs.
 
 This module provides the analytic outcome densities for the reconciled
 homodyne result together with a full phase-space pipeline built on
@@ -64,45 +63,32 @@ class ProtocolParams:
         Channel transmissivities for parties A, B, C, each in (0, 1].
     sigma : (float, float, float)
         Modulation standard deviations (shot-noise units), each > 0.
-    cascade : (float, float)
-        Detector beamsplitter transmissivities; fixed to (1/2, 2/3).
     attenuation_db_per_km : float
         Fibre loss; tau = 10**(-d * attenuation_db_per_km / 10).
     overlap_convention : {"trace", "amplitude"}
         Whether the eavesdropper's pairwise state overlap is taken as the
         two-state trace formula or its square root; see
         :func:`cvconf.holevo.eve_overlaps`.
-    detector_config : {"config1", "config2"}
-        config1 reconciles p-quadrature signs (two q-homodynes plus a
-        final p-homodyne); config2 is the mirror image.
     """
 
     tau: tuple[float, float, float]
     sigma: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    cascade: tuple[float, float] = (CASCADE_T1, CASCADE_T2)
     attenuation_db_per_km: float = 0.2
     overlap_convention: str = "trace"
-    detector_config: str = "config1"
 
     def __post_init__(self):
         tau = tuple(float(t) for t in self.tau)
         sigma = tuple(float(s) for s in self.sigma)
-        cascade = tuple(float(t) for t in self.cascade)
         if len(tau) != 3 or not all(0.0 < t <= 1.0 for t in tau):
             raise ValueError("tau must be three transmissivities in (0, 1]")
         if len(sigma) != 3 or not all(s > 0.0 for s in sigma):
             raise ValueError("sigma must be three positive standard deviations")
-        if cascade != (CASCADE_T1, CASCADE_T2):
-            raise ValueError("cascade transmissivities are fixed to (1/2, 2/3)")
         if self.attenuation_db_per_km < 0.0:
             raise ValueError("attenuation_db_per_km must be non-negative")
         if self.overlap_convention not in ("trace", "amplitude"):
             raise ValueError("overlap_convention must be 'trace' or 'amplitude'")
-        if self.detector_config not in ("config1", "config2"):
-            raise ValueError("detector_config must be 'config1' or 'config2'")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "cascade", cascade)
 
     @property
     def attenuation_exponent(self) -> float:
@@ -143,12 +129,11 @@ def mean_coefficients(params: ProtocolParams) -> np.ndarray:
     w_C = sqrt((1-T2)*tau_C).  For equal tau the three are equal, which is
     what makes the symmetric configuration exactly balanced.
     """
-    t1, t2 = params.cascade
     ta, tb, tc = params.tau
     return np.array([
-        math.sqrt(t1 * t2 * ta),
-        math.sqrt((1.0 - t1) * t2 * tb),
-        math.sqrt((1.0 - t2) * tc),
+        math.sqrt(CASCADE_T1 * CASCADE_T2 * ta),
+        math.sqrt((1.0 - CASCADE_T1) * CASCADE_T2 * tb),
+        math.sqrt((1.0 - CASCADE_T2) * tc),
     ])
 
 
@@ -199,20 +184,13 @@ def joint_density(mags, gamma: float, params: ProtocolParams) -> float:
 def eve_conditional_means(signs, mags, params: ProtocolParams) -> list[tuple[float, float]]:
     """Means (q, p) of the eavesdropper's three memory modes.
 
-    Mode i carries mean sqrt(1-tau_i)*sign_i*mag_i on the reconciled
-    quadrature.  The orthogonal quadrature mean is irrelevant to the state
-    overlaps and is reported as 0; the covariance is the identity.
+    Mode i carries mean sqrt(1-tau_i)*sign_i*mag_i on the reconciled p
+    quadrature.  The q mean is irrelevant to the state overlaps and is
+    reported as 0; the covariance is the identity.
     """
     s = _check_signs(signs)
     m = _check_mags(mags)
-    out = []
-    for ti, si, mi in zip(params.tau, s, m):
-        disp = math.sqrt(1.0 - ti) * si * mi
-        if params.detector_config == "config1":
-            out.append((0.0, disp))
-        else:
-            out.append((disp, 0.0))
-    return out
+    return [(0.0, math.sqrt(1.0 - ti) * si * mi) for ti, si, mi in zip(params.tau, s, m)]
 
 
 def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
@@ -221,11 +199,10 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
 
     Builds the three-mode coherent product, taps each mode with pure loss,
     applies the detector cascade and conditions on the three homodyne
-    outcomes in measurement order.  ``signs`` are the reconciled-quadrature
-    signs (p-signs in config1, q-signs in config2); the orthogonal
-    quadrature signs are fixed to +1, which affects neither the reconciled
-    outcome's distribution nor the eavesdropper's reconciled-quadrature
-    means.
+    outcomes in measurement order.  ``signs`` are the reconciled
+    p-quadrature signs; the q-quadrature signs are fixed to +1, which
+    affects neither the reconciled outcome's distribution nor the
+    eavesdropper's p means.
 
     Parameters
     ----------
@@ -234,8 +211,7 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
     params : ProtocolParams
     outcomes : three homodyne results in measurement order
         (relative-AB port, relative-ABC port, sum port); the first two are
-        q-homodynes and the last a p-homodyne in config1, mirrored in
-        config2.
+        q-homodynes and the last a p-homodyne.
 
     Returns
     -------
@@ -250,28 +226,20 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
     if outs.shape != (3,):
         raise ValueError("outcomes must be three homodyne results")
 
-    if params.detector_config == "config1":
-        means = [(qm[i], s[i] * pm[i]) for i in range(3)]
-        quads = ("q", "q", "p")
-    else:
-        means = [(s[i] * qm[i], pm[i]) for i in range(3)]
-        quads = ("p", "p", "q")
-
-    state = make_coherent_product(means)
+    state = make_coherent_product([(qm[i], s[i] * pm[i]) for i in range(3)])
     for i, ti in enumerate(params.tau):
         state = pure_loss_tap(state, i, ti)  # appends Eve modes 3, 4, 5
-    t1, t2 = params.cascade
-    state = apply_beamsplitter(state, 0, 1, t1)
-    state = apply_beamsplitter(state, 0, 2, t2)
+    state = apply_beamsplitter(state, 0, 1, CASCADE_T1)
+    state = apply_beamsplitter(state, 0, 2, CASCADE_T2)
 
     # Measure the two relative ports then the sum port; indices shift as
     # measured modes are removed (1 -> old 2, final 0 -> sum port).
     liks = []
-    state, lik = homodyne_condition(state, 1, quads[0], outs[0])
+    state, lik = homodyne_condition(state, 1, "q", outs[0])
     liks.append(lik)
-    state, lik = homodyne_condition(state, 1, quads[1], outs[1])
+    state, lik = homodyne_condition(state, 1, "q", outs[1])
     liks.append(lik)
-    state, lik = homodyne_condition(state, 0, quads[2], outs[2])
+    state, lik = homodyne_condition(state, 0, "p", outs[2])
     liks.append(lik)
 
     return RelayResult(

@@ -1,10 +1,10 @@
 r"""Key rates: single-point, Monte-Carlo integrated, and quadrature checked.
 
-The single-point rate is the pairwise sign mutual information minus the
-Holevo bound on the first party's sign.  Averaging it over the announced
-variables gives the raw rate; averaging its positive part gives the
-post-selected rate, in which the parties keep only the instances whose
-announcement-conditioned rate is positive.
+The single-point rate is the sign mutual information I(A:B) of parties A
+and B minus the Holevo bound chi(A) on A's sign.  Averaging it over the
+announced variables gives the raw rate; averaging its positive part gives
+the post-selected rate, in which the parties keep only the instances
+whose announcement-conditioned rate is positive.
 
 The keep/drop decision is certified: every announcement carries a bound
 on the distance between the computed and the exact I - chi, and it is
@@ -68,6 +68,11 @@ _WIDE = 3.0
 _LOG_WIDE_RATIO_SLOPE = (1.0 - 1.0 / _WIDE ** 2) / 2.0
 _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 
+# Gauss-Legendre points per quadrature panel, and grid points per
+# certified_rates call in the quadrature (bounds its peak memory).
+_PANEL_DEGREE = 8
+_QUAD_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -89,27 +94,26 @@ class SweepPoint:
     estimate_no_ps: RateEstimate   # raw (non-post-selected) rate
 
 
-def single_point_rate(mags, gamma: float, params: ProtocolParams,
-                      pair=("A", "B")) -> float:
-    """Single-point rate I - chi for one announcement; may be negative."""
-    mi = single_point_mi(mags, gamma, params, pair)
-    chi = single_point_holevo(mags, gamma, params, party=pair[0])
+def single_point_rate(mags, gamma: float, params: ProtocolParams) -> float:
+    """Single-point rate I(A:B) - chi(A) for one announcement; may be negative."""
+    mi = single_point_mi(mags, gamma, params)
+    chi = single_point_holevo(mags, gamma, params)
     return mi - chi
 
 
-def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
-                pair=("A", "B")) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mutual information, Holevo bound, and a bound on |computed - exact| of I - chi."""
+def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
+                params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I(A:B), chi(A), and a bound on |computed - exact| of I - chi."""
     tables = posterior_table_batch(mags, gamma, params)
     rel_err = posterior_rel_err(mags, gamma, params)
-    mi, mi_err = _mi_with_bound(tables, pair, rel_err)
+    mi, mi_err = _mi_with_bound(tables, ("A", "B"), rel_err)
     chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params),
-                                      pair[0], rel_err)
+                                      "A", rel_err)
     return mi, chi, mi_err + chi_err + _EPS * (mi + chi)
 
 
-def certified_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
-                    pair=("A", "B")) -> tuple[np.ndarray, np.ndarray]:
+def certified_rates(mags: np.ndarray, gamma: np.ndarray,
+                    params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Single-point rates and their certified post-selected parts.
 
     Returns ``(rate, rate_ps)`` for (n, 3) magnitudes and (n,) outcomes.
@@ -117,14 +121,14 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
     bound, so the exact rate is positive, and 0 elsewhere: announcements
     whose sign floating point cannot settle are dropped.
     """
-    mi, chi, err = _rate_terms(mags, gamma, params, pair)
+    mi, chi, err = _rate_terms(mags, gamma, params)
     rate = mi - chi
     return rate, np.where(rate > err, rate, 0.0)
 
 
 def _mc_block(args) -> tuple[float, float, float, float]:
     """Weighted sums of the rate and its post-selected part over one block."""
-    seed, block_index, count, params, pair = args
+    seed, block_index, count, params = args
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64)))
     sigma = np.asarray(params.sigma)
     wide = rng.integers(0, 2, size=count) == 1
@@ -137,7 +141,7 @@ def _mc_block(args) -> tuple[float, float, float, float]:
     log_ratio = _LOG_WIDE_RATIO_SLOPE * (z * z).sum(axis=1) + _LOG_WIDE_RATIO_OFFSET
     weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
 
-    rate, rate_ps = certified_rates(mags, gamma, params, pair)
+    rate, rate_ps = certified_rates(mags, gamma, params)
     rate = weight * rate
     rate_ps = weight * rate_ps
     return (float(rate.sum()), float((rate * rate).sum()),
@@ -155,9 +159,8 @@ def _estimate_from_sums(total: float, total_sq: float, n: int, method: str) -> R
 
 
 def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
-                      n_workers: int = 1,
-                      pair=("A", "B")) -> tuple[RateEstimate, RateEstimate]:
-    """Monte-Carlo estimates of the raw and post-selected rates.
+                      n_workers: int = 1) -> tuple[RateEstimate, RateEstimate]:
+    """Monte-Carlo estimates of the raw and post-selected rates of I(A:B) - chi(A).
 
     Parameters
     ----------
@@ -168,17 +171,18 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         Non-negative stream seed; together with the sample index it fully
         determines each sample's randomness.
     n_workers : int
-        Blocks are evaluated in parallel when > 1; the result is
-        bit-identical for every value.
-    pair : two parties
-        The reported rate is for this pair, with the Holevo bound on the
-        first party's sign.
+        Blocks are evaluated in min(n_workers, blocks) processes when that
+        is > 1; the result is bit-identical for every value.
 
     Returns
     -------
     (RateEstimate, RateEstimate)
-        The raw rate and the post-selected rate, from the same samples,
-        so the post-selected estimate is never below the raw one.
+        The raw rate and the post-selected rate, from the same samples.
+        The post-selected estimate is never negative.  It can fall below
+        the raw one: announcements whose computed rate is positive but
+        within its error bound are dropped, which lowers it by at most
+        their summed weighted bounds over n_samples (~1e-15 at unit
+        transmissivity).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -186,11 +190,12 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         raise ValueError("seed must be non-negative")
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     tasks = [
-        (seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), params, pair)
+        (seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), params)
         for b in range(n_blocks)
     ]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    n_processes = min(n_workers, n_blocks)
+    if n_processes > 1:
+        with ProcessPoolExecutor(max_workers=n_processes) as pool:
             block_sums = list(pool.map(_mc_block, tasks, chunksize=1))
     else:
         block_sums = [_mc_block(t) for t in tasks]
@@ -202,11 +207,10 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     return raw, post
 
 
-def _composite_gauss_legendre(lo: float, hi: float, n_nodes: int,
-                              panel_degree: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def _composite_gauss_legendre(lo: float, hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with at least n_nodes points."""
-    n_panels = max(1, -(-n_nodes // panel_degree))
-    base_x, base_w = np.polynomial.legendre.leggauss(panel_degree)
+    n_panels = max(1, -(-n_nodes // _PANEL_DEGREE))
+    base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_DEGREE)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -215,9 +219,7 @@ def _composite_gauss_legendre(lo: float, hi: float, n_nodes: int,
     return nodes, weights
 
 
-def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24,
-                           pair=("A", "B"), gamma_half_domain: bool = False,
-                           chunk: int = 1 << 17) -> RateEstimate:
+def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> RateEstimate:
     """Deterministic quadrature of the post-selected rate integral.
 
     Tensor-product composite Gauss-Legendre over mag_i in [0, 8*sigma_i]
@@ -227,10 +229,6 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24,
     the outcome axis gets proportionally more nodes to keep the same node
     density over its longer range.  The integrand weight is the explicit
     joint announcement density.
-
-    With ``gamma_half_domain`` the outcome integral runs over [0, m_max+8]
-    and is doubled, which is exact because the integrand is even in the
-    outcome.
     """
     if nodes_per_axis < 8:
         raise ValueError("nodes_per_axis must be at least 8")
@@ -240,17 +238,13 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24,
     g_hi = m_max + 8.0
 
     mag_axes = [_composite_gauss_legendre(0.0, 8.0 * s, nodes_per_axis) for s in sigma]
-    # The outcome rule is built on [0, g_hi] and mirrored for the full
-    # domain, so the half-domain evaluation is exactly the even-integrand
-    # restriction of the full one.
+    # The outcome rule is built on [0, g_hi] and mirrored, so the grid is
+    # symmetric about 0 like the integrand.
     density = nodes_per_axis / (8.0 * sigma.max())
     g_half_req = max(nodes_per_axis // 2, int(math.ceil(g_hi * density)), 8)
     half_nodes, half_weights = _composite_gauss_legendre(0.0, g_hi, g_half_req)
-    if gamma_half_domain:
-        g_nodes, g_weights = half_nodes, 2.0 * half_weights
-    else:
-        g_nodes = np.concatenate([-half_nodes[::-1], half_nodes])
-        g_weights = np.concatenate([half_weights[::-1], half_weights])
+    g_nodes = np.concatenate([-half_nodes[::-1], half_nodes])
+    g_weights = np.concatenate([half_weights[::-1], half_weights])
 
     grids = np.meshgrid(mag_axes[0][0], mag_axes[1][0], mag_axes[2][0],
                         g_nodes, indexing="ij")
@@ -261,22 +255,21 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24,
 
     total = 0.0
     n_points = points.shape[0]
-    for start in range(0, n_points, chunk):
-        mags = points[start:start + chunk, :3]
-        gamma = points[start:start + chunk, 3]
-        _, rate_ps = certified_rates(mags, gamma, params, pair)
+    for start in range(0, n_points, _QUAD_CHUNK):
+        mags = points[start:start + _QUAD_CHUNK, :3]
+        gamma = points[start:start + _QUAD_CHUNK, 3]
+        _, rate_ps = certified_rates(mags, gamma, params)
         # Explicit joint announcement density: outcome likelihood summed over
         # sign triples times the per-party sign-magnitude densities.
         means = (mags * w) @ SIGN_PATTERNS.T
         outcome = np.exp(-0.5 * (gamma[:, None] - means) ** 2).sum(axis=1) / _SQRT_2PI
         mag_density = np.prod(np.exp(-0.5 * (mags / sigma) ** 2) / (_SQRT_2PI * sigma), axis=1)
-        total += float((quad_weights[start:start + chunk] * outcome * mag_density * rate_ps).sum())
+        total += float((quad_weights[start:start + _QUAD_CHUNK] * outcome * mag_density * rate_ps).sum())
     return RateEstimate(total, 0.0, n_points, "quadrature")
 
 
 def sweep_distance(params_template: ProtocolParams, distances, n_samples: int,
-                   seed: int = 0, n_workers: int = 1,
-                   pair=("A", "B")) -> list[SweepPoint]:
+                   seed: int = 0, n_workers: int = 1) -> list[SweepPoint]:
     """Rates of the symmetric configuration over a distance grid.
 
     Every distance reuses the same seed, so adjacent points share their
@@ -286,6 +279,6 @@ def sweep_distance(params_template: ProtocolParams, distances, n_samples: int,
     points = []
     for d in distances:
         params = params_template.at_distance(float(d))
-        raw, post = estimate_rates_mc(params, n_samples, seed, n_workers, pair)
+        raw, post = estimate_rates_mc(params, n_samples, seed, n_workers)
         points.append(SweepPoint(float(d), params.tau[0], post, raw))
     return points

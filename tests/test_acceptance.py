@@ -73,8 +73,8 @@ class TestCriterion1RateFloor:
                f"3-sigma lower bound {lower:.3e} vs 1e-4")
         assert ok, (
             "R_PS(3 km) is far below 1e-4 under the trace convention; the "
-            "positive region is astronomically thin beyond ~2 km (exact "
-            "quadrature gives ~2.5e-24 at 3 km)."
+            "positive region is astronomically thin beyond ~2 km (certified "
+            "quadrature gives 0 at 3 km with 24 and 32 nodes)."
         )
 
 

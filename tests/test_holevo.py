@@ -362,6 +362,18 @@ class TestSinglePointHolevo:
         with pytest.raises(ValueError, match="outside"):
             single_point_holevo((1, 1, 1), 0.0, ProtocolParams(tau=(0.5, 0.5, 0.5)))
 
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_never_negative_at_unit_transmissivity(self, convention):
+        """At tau = 1 every overlap is 1 and chi is exactly 0; rounding once
+        gave about -1e-16 for a third of such announcements."""
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
+        assert single_point_holevo((1.5, 0.75, 0.25), 2.0, p) >= 0.0
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            mags = np.abs(rng.normal(0.0, 1.0, 3))
+            gamma = rng.normal(0.0, 2.0)
+            assert 0.0 <= single_point_holevo(mags, gamma, p) <= 1e-12
+
     def test_party_choice_is_respected(self):
         p = ProtocolParams(tau=(0.4, 0.9, 0.9))
         mags = (1.5, 0.2, 0.2)

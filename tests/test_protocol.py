@@ -35,7 +35,6 @@ def random_params(rng, **overrides):
 class TestProtocolParams:
     def test_defaults(self):
         p = ProtocolParams(tau=(1.0, 1.0, 1.0))
-        assert p.cascade == (0.5, 2.0 / 3.0)
         assert p.attenuation_db_per_km == 0.2
         assert p.attenuation_exponent == pytest.approx(0.02)
         assert p.overlap_convention == "trace"
@@ -50,7 +49,7 @@ class TestProtocolParams:
             ProtocolParams(tau=(1, 1, 1), sigma=(1.0, 0.0, 1.0))
 
     def test_cascade_is_fixed(self):
-        with pytest.raises(ValueError, match="cascade"):
+        with pytest.raises(TypeError, match="cascade"):
             ProtocolParams(tau=(1, 1, 1), cascade=(0.4, 0.6))
 
     def test_rejects_unknown_convention(self):
@@ -202,12 +201,6 @@ class TestEveConditionalMeans:
         assert flipped[1] == base[1]
         assert flipped[2] == base[2]
 
-    def test_config2_uses_q_quadrature(self):
-        p = ProtocolParams(tau=(0.5, 1.0, 1.0), detector_config="config2")
-        means = eve_conditional_means((1, 1, 1), (1.0, 0.0, 0.0), p)
-        assert means[0][0] == pytest.approx(math.sqrt(0.5), rel=1e-14)
-        assert means[0][1] == 0.0
-
 
 class TestSimulateRelay:
     def test_no_loss_leaves_eve_with_vacuum(self):
@@ -259,15 +252,6 @@ class TestSimulateRelay:
         b = simulate_relay(signs, q_mags, p_mags, p, (1.7, -2.2, 0.9))
         assert np.allclose(a.eve_state.mean, b.eve_state.mean, atol=1e-13)
         assert np.allclose(a.eve_state.cov, b.eve_state.cov, atol=1e-13)
-
-    def test_config2_reconciles_q_signs(self):
-        p1 = ProtocolParams(tau=(0.7, 0.8, 0.9), detector_config="config2")
-        signs = (-1.0, 1.0, 1.0)
-        q_mags, p_mags = (1.2, 0.5, 0.8), (0.3, 0.9, 0.1)
-        gamma = 0.6
-        result = simulate_relay(signs, q_mags, p_mags, p1, (0.1, -0.4, gamma))
-        want = outcome_density(signs, q_mags, gamma, p1)
-        assert result.reconciled_likelihood == pytest.approx(want, rel=1e-10)
 
     def test_joint_likelihood_factorises(self):
         p = ProtocolParams(tau=(0.6, 0.9, 0.75))

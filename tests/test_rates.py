@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import cvconf.rates
 from cvconf.holevo import single_point_holevo
 from cvconf.inference import single_point_mi
-from cvconf.protocol import ProtocolParams, mean_coefficients, transmissivity_from_distance
+from cvconf.protocol import CASCADE_T1, CASCADE_T2, ProtocolParams, mean_coefficients, \
+    transmissivity_from_distance
 from cvconf.rates import (
     BLOCK_SIZE,
     certified_rates,
@@ -76,6 +78,34 @@ class TestEstimateRatesMc:
         assert serial[1].value == parallel[1].value
         assert serial[1].std_error == parallel[1].std_error
 
+    def test_at_most_one_process_per_block(self, monkeypatch):
+        """No pool for a single block; never more processes than blocks."""
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool and runs the tasks in-process."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cvconf.rates, "ProcessPoolExecutor", RecordingPool)
+        p = ProtocolParams(tau=(0.93, 0.93, 0.93))
+        one_block = estimate_rates_mc(p, 64, seed=3, n_workers=4)
+        assert started == []
+        assert one_block == estimate_rates_mc(p, 64, seed=3, n_workers=1)
+        two_blocks = estimate_rates_mc(p, BLOCK_SIZE + 64, seed=3, n_workers=4)
+        assert started == [2]
+        assert two_blocks == estimate_rates_mc(p, BLOCK_SIZE + 64, seed=3, n_workers=1)
+
     def test_doubling_samples_is_statistically_stable(self):
         p = ProtocolParams(tau=(0.95, 0.95, 0.95))
         small = estimate_rates_mc(p, 50_000, seed=4)[1]
@@ -112,7 +142,7 @@ def _mpmath_rate(mp, mags, gamma, params):
     weighted Gram matrix of the pure conditional states.
     """
     bits = [((t >> 2) & 1, (t >> 1) & 1, t & 1) for t in range(8)]
-    t1, t2 = (mp.mpf(v) for v in params.cascade)
+    t1, t2 = mp.mpf(CASCADE_T1), mp.mpf(CASCADE_T2)
     tau = [mp.mpf(t) for t in params.tau]
     w = [mp.sqrt(t1 * t2 * tau[0]), mp.sqrt((1 - t1) * t2 * tau[1]),
          mp.sqrt((1 - t2) * tau[2])]
@@ -226,12 +256,6 @@ class TestQuadratureCrossCheck:
         assert quad.method == "quadrature"
         assert abs(quad.value - post.value) <= 4.0 * post.std_error
         assert abs(quad.value - raw.value) <= 4.0 * raw.std_error
-
-    def test_half_domain_parity(self):
-        p = ProtocolParams(tau=(0.92, 0.92, 0.92))
-        full = quadrature_cross_check(p, nodes_per_axis=16)
-        half = quadrature_cross_check(p, nodes_per_axis=16, gamma_half_domain=True)
-        assert half.value == pytest.approx(full.value, abs=1e-10)
 
     def test_node_count_convergence(self):
         p = ProtocolParams(tau=(1.0, 1.0, 1.0))
