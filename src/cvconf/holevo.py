@@ -22,6 +22,13 @@ square root (the literal inner product of the pure states).  ``trace``
 is the default; it yields smaller overlaps, hence a larger Holevo bound
 and a more conservative key rate.
 
+Where every overlap is exactly 1 (unit transmissivity, as everywhere at
+0 km) all eight states coincide, so the eavesdropper's state does not
+depend on any sign: the Holevo information is exactly 0 and no spectrum
+is computed.  A party's own overlap being 1 is not enough: with the
+other parties' taps lossy, their states still reveal its sign through
+the posterior correlations.
+
 The assembly works with the overlap deficit 1 - X (from ``expm1`` when
 the overlaps come from announcements), so the small coefficient c1 keeps
 full relative accuracy.  Entropies use every eigenvalue, clipped to
@@ -303,11 +310,13 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
     entropies.  The exact value lies in [0, 1] bits; a result outside that
     interval by more than 1e-9 (eigensolver slack) raises ValueError, and
     one within it is projected onto [0, 1], which never moves it further
-    from the exact value (at unit transmissivity the rounding alone gives
-    about -1e-16).
+    from the exact value.  Where every overlap is 1 it is exactly 0 (see
+    the module notes).
     """
     table = sign_posterior_table(mags, gamma, params)
     overlaps = eve_overlaps(mags, params)
+    if np.all(overlaps == 1.0):
+        return 0.0
     total = von_neumann_entropy(assemble_total_state(table, overlaps))
     averaged = 0.0
     for sign in (1, -1):
@@ -327,13 +336,17 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
     """Batched Holevo bound and a bound on its error against the exact value.
 
     ``deficits`` holds 1 - X per party and ``rel_err`` bounds the relative
-    error of every table entry.  A relative error eps of each sign weight
-    scales the mixture by a factor within [1 - eps, 1 + eps] in the
-    positive semidefinite order, and a relative error of the coefficients
-    is a congruence close to the identity; both scale every eigenvalue by
-    at most that relative amount.  Assembly and eigensolver rounding then
-    shift each eigenvalue by at most ``_EIG_ABS_ERR``.
+    error of every table entry.  A batch whose deficits are all exactly 0
+    gets (0, 0) without spectra (see the module notes).  A relative error
+    eps of each sign weight scales the mixture by a factor within
+    [1 - eps, 1 + eps] in the positive semidefinite order, and a relative
+    error of the coefficients is a congruence close to the identity; both
+    scale every eigenvalue by at most that relative amount.  Assembly and
+    eigensolver rounding then shift each eigenvalue by at most
+    ``_EIG_ABS_ERR``.
     """
+    if not deficits.any():
+        return np.zeros(len(tables)), np.zeros(len(tables))
     x_idx = _party_index(party)
     rel = np.asarray(rel_err, dtype=float) + 32.0 * _EPS  # coefficients and sums
     rho = _assemble_batch(tables, deficits, _BITS8, _PAR8)

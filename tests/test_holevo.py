@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from cvconf.gaussian import make_coherent_product, overlap_trace, pure_loss_tap
+import cvconf.holevo
 from cvconf.holevo import (
     EveDensityMatrix,
+    _holevo_with_bound,
     assemble_conditional_state,
     assemble_total_state,
     coefficient_moduli,
     eve_overlaps,
     eve_overlaps_batch,
     gram_oracle_entropy,
+    overlap_deficits_batch,
     single_point_holevo,
     single_point_holevo_batch,
     von_neumann_entropy,
@@ -374,6 +377,25 @@ class TestSinglePointHolevo:
             gamma = rng.normal(0.0, 2.0)
             assert 0.0 <= single_point_holevo(mags, gamma, p) <= 1e-12
 
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_exactly_zero_at_unit_transmissivity(self, convention, monkeypatch):
+        """At tau = 1 no state is assembled and the one-announcement view
+        gives the batch's exact 0."""
+        def refuse(*args):
+            raise AssertionError("a state was assembled")
+
+        monkeypatch.setattr(cvconf.holevo, "assemble_total_state", refuse)
+        monkeypatch.setattr(cvconf.holevo, "assemble_conditional_state", refuse)
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
+        assert single_point_holevo((1.5, 0.75, 0.25), 2.0, p) == 0.0
+        rng = np.random.default_rng(45)
+        mags = np.abs(rng.normal(0.0, 1.0, size=(100, 3)))
+        gamma = rng.normal(0.0, 2.0, 100)
+        for m, g in zip(mags, gamma):
+            assert single_point_holevo(m, g, p) == 0.0
+        tables = posterior_table_batch(mags, gamma, p)
+        assert np.all(single_point_holevo_batch(tables, eve_overlaps_batch(mags, p)) == 0.0)
+
     def test_party_choice_is_respected(self):
         p = ProtocolParams(tau=(0.4, 0.9, 0.9))
         mags = (1.5, 0.2, 0.2)
@@ -390,3 +412,52 @@ class TestEveDensityMatrixType:
     def test_dim(self):
         assert EveDensityMatrix(np.eye(4) / 4.0).dim == 4
         assert EveDensityMatrix(np.eye(8) / 8.0).dim == 8
+
+
+class TestExactZeros:
+    """Where every overlap is 1, chi is exactly 0 and no spectrum is computed."""
+
+    @staticmethod
+    def batch(rng, n=400):
+        mags = np.abs(rng.normal(0.0, 2.0, size=(n, 3)))
+        gamma = rng.normal(0.0, 2.0, n)
+        return mags, gamma
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_unit_transmissivity_runs_no_spectrum(self, convention, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cvconf.holevo, "_assemble_batch",
+                            counting("assemble", cvconf.holevo._assemble_batch))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
+        mags, gamma = self.batch(np.random.default_rng(70))
+        tables = posterior_table_batch(mags, gamma, p)
+        chi, bound = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), "A", 1e-14)
+        assert np.array_equal(chi, np.zeros(len(mags)))
+        assert np.array_equal(bound, np.zeros(len(mags)))
+        assert calls == []
+
+    def test_unit_overlap_alone_leaves_chi(self):
+        """A lossless tap on A does not hide A's sign when B's and C's taps
+        are lossy: the posterior correlates the signs."""
+        p = ProtocolParams(tau=(1.0, 0.5, 0.5))
+        mags, gamma = (1.0, 1.0, 1.0), 0.5
+        table = sign_posterior_table(mags, gamma, p)
+        overlaps = eve_overlaps(mags, p)
+        assert overlaps[0] == 1.0
+        want = gram_oracle_entropy(table.probs, overlaps) - sum(
+            table.probs[mask].sum() * gram_oracle_entropy(
+                table.probs[mask] / table.probs[mask].sum(), overlaps[1:])
+            for mask in (SIGN_PATTERNS[:, 0] > 0, SIGN_PATTERNS[:, 0] < 0))
+        assert want > 0.01
+        assert single_point_holevo(mags, gamma, p) == pytest.approx(want, abs=1e-9)
+        chi, _ = _holevo_with_bound(table.probs[None, :],
+                                    overlap_deficits_batch(np.array([mags]), p), "A", 0.0)
+        assert chi[0] == pytest.approx(want, abs=1e-9)

@@ -245,7 +245,57 @@ class TestCertifiedDecision:
         assert post.std_error == 0.0
 
 
+class TestOutcomeMirror:
+    """The rate is even in the outcome, which the quadrature relies on."""
+
+    @pytest.mark.parametrize("distance", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_certified_rates_agree_at_mirrored_outcomes(self, distance, convention):
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        rng = np.random.default_rng(62)
+        n = 4_000
+        signs = rng.choice([-1.0, 1.0], size=(n, 3))
+        mags = np.abs(rng.normal(0.0, 3.0, size=(n, 3)))
+        gamma = rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
+        rate, rate_ps = certified_rates(mags, gamma, params)
+        mirror, mirror_ps = certified_rates(mags, -gamma, params)
+        err = _rate_terms(mags, gamma, params)[2]
+        mirror_err = _rate_terms(mags, -gamma, params)[2]
+        assert np.all(np.abs(rate - mirror) <= err + mirror_err)
+        decisive = np.abs(rate) > 2.0 * np.maximum(err, mirror_err)
+        assert np.array_equal((rate_ps > 0.0)[decisive], (mirror_ps > 0.0)[decisive])
+        if distance == 1.0:
+            assert (rate_ps[decisive] > 0.0).any()
+
+
 class TestQuadratureCrossCheck:
+    @pytest.mark.parametrize("distance, want", [
+        (0.0, 0.019820915753750678), (2.0, 1.3443164922862247e-10), (4.0, 0.0)])
+    def test_matches_full_outcome_rule(self, distance, want):
+        """Values of the full symmetric outcome rule (16 nodes, trace) that
+        the mirrored half rule reproduces."""
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
+        quad = quadrature_cross_check(p, nodes_per_axis=16)
+        assert quad.n_samples == 393_216
+        if want == 0.0:
+            assert quad.value == 0.0
+        else:
+            assert quad.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_evaluates_half_the_rule(self, monkeypatch):
+        rows = []
+
+        def counting(mags, gamma, params):
+            rows.append(gamma.copy())
+            return certified_rates(mags, gamma, params)
+
+        monkeypatch.setattr(cvconf.rates, "certified_rates", counting)
+        quad = quadrature_cross_check(ProtocolParams(tau=(1.0, 1.0, 1.0)), nodes_per_axis=8)
+        gamma = np.concatenate(rows)
+        assert 2 * gamma.size == quad.n_samples
+        assert np.all(gamma > 0.0)
+
     def test_lossless_agrees_with_monte_carlo(self):
         """At unit transmissivity the integrand is the mutual information
         alone, so the deterministic integral must sit on the MC estimate."""
