@@ -32,10 +32,13 @@ the posterior correlations.
 The assembly works with the overlap deficit 1 - X (from ``expm1`` when
 the overlaps come from announcements), so the small coefficient c1 keeps
 full relative accuracy.  Entropies use every eigenvalue, clipped to
-[0, 1]; the batched Holevo core also returns a bound on the distance
-between the computed and the exact bound, built from the inputs'
-relative errors (which scale the spectrum) and the assembly and
-eigensolver rounding (which shifts it).
+[0, 1].  Every Holevo value comes from one batched core
+(:func:`single_point_holevo` is its n = 1 view); a spectrum there with
+trace off 1, or an eigenvalue below 0, by more than 1e-10 raises
+ValueError.  The core also returns a bound on the distance between the
+computed and the exact bound, built from the inputs' relative errors
+(which scale the spectrum) and the assembly and eigensolver rounding
+(which shifts it).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import PosteriorTable, _eta, _party_index, sign_posterior_table, single_marginal
+from .inference import PosteriorTable, _eta, _party_index, sign_posterior_table
 from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags
 
 __all__ = [
@@ -72,6 +75,11 @@ _EPS = float(np.finfo(float).eps)
 # 2*n**2 ulps.
 _EIG_ABS_ERR = {n: (10.0 + 2.0 * n * n) * _EPS for n in (4, 8)}
 
+# Density-matrix checks: entrywise asymmetry; a spectrum's sum off 1 or
+# smallest eigenvalue below 0.
+_SYM_TOL = 1e-12
+_SPECTRUM_TOL = 1e-10
+
 # Maximum of -x*log2(x), attained at x = 1/e.
 _ETA_PEAK_X = math.exp(-1.0)
 _ETA_PEAK = 1.0 / (math.e * math.log(2.0))
@@ -86,25 +94,11 @@ _PAR8 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS8[:, None, :] - _BITS8[No
 _PAR4 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS4[:, None, :] - _BITS4[None, :, :]), _BITS4)
 
 # Full-table indices, per conditioned party and sign bit, of the four
-# remaining-parties patterns in their own binary order.
+# remaining-parties patterns in their own binary order (dropping one bit
+# of the table index keeps the order of the other two).
 _OTHER_PARTIES = ((1, 2), (0, 2), (0, 1))
-
-
-def _conditional_index_map() -> np.ndarray:
-    idx = np.empty((3, 2, 4), dtype=int)
-    for x in range(3):
-        for b in range(2):
-            rows = []
-            for t in range(8):
-                bits = ((t >> 2) & 1, (t >> 1) & 1, t & 1)
-                if bits[x] == b:
-                    y, z = _OTHER_PARTIES[x]
-                    rows.append((2 * bits[y] + bits[z], t))
-            idx[x, b] = [t for _, t in sorted(rows)]
-    return idx
-
-
-_COND_IDX = _conditional_index_map()
+_COND_IDX = np.array([[[t for t in range(8) if (t >> (2 - x)) & 1 == b] for b in range(2)]
+                      for x in range(3)])
 
 
 @dataclass(frozen=True)
@@ -128,16 +122,22 @@ class EveDensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, sym_tol: float = 1e-12, trace_tol: float = 1e-10,
-                 psd_tol: float = 1e-10) -> None:
-        """Raise ValueError unless symmetric, unit trace and PSD within tolerance."""
+    def validate(self) -> np.ndarray:
+        """Ascending eigenvalues; ValueError unless symmetric, unit trace and PSD."""
         m = self.matrix
-        if np.max(np.abs(m - m.T)) > sym_tol:
+        if np.max(np.abs(m - m.T)) > _SYM_TOL:
             raise ValueError("density matrix is not symmetric")
-        if abs(np.trace(m) - 1.0) > trace_tol:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m)[0] < -psd_tol:
-            raise ValueError("density matrix has a negative eigenvalue")
+        return _checked_eigvalsh(m)
+
+
+def _checked_eigvalsh(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of density matrices (..., d, d), checked to ``_SPECTRUM_TOL``."""
+    lam = np.linalg.eigvalsh(rho)
+    if not (np.abs(lam.sum(axis=-1) - 1.0) <= _SPECTRUM_TOL).all():
+        raise ValueError("density matrix trace differs from 1")
+    if not (lam[..., 0] >= -_SPECTRUM_TOL).all():
+        raise ValueError("density matrix has a negative eigenvalue")
+    return lam
 
 
 def _overlap_exponents(mags, params: ProtocolParams) -> np.ndarray:
@@ -183,21 +183,34 @@ def coefficient_moduli(overlap: float) -> tuple[float, float]:
 def _coefficient_vectors(deficits: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Products of per-party coefficients for every basis string.
 
-    deficits: (n, k) values of 1 - X; bits: (2^k, k).  Returns (n, 2^k)
-    with entry [s, r] = prod_x c_{bits[r, x]}(X[s, x]).
+    deficits: (..., k) values of 1 - X; bits: (2^k, k).  Returns
+    (..., 2^k) with entry [..., r] = prod_x c_{bits[r, x]}(X[..., x]).
     """
     c0 = np.sqrt(1.0 - deficits / 2.0)
     c1 = np.sqrt(deficits / 2.0)
-    chosen = np.where(bits[None, :, :] == 1.0, c1[:, None, :], c0[:, None, :])
-    return chosen.prod(axis=2)
+    chosen = np.where(bits == 1.0, c1[..., None, :], c0[..., None, :])
+    return chosen.prod(axis=-1)
 
 
 def _assemble_batch(weights: np.ndarray, deficits: np.ndarray,
                     bits: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """Density matrices (n, d, d) from sign weights and overlap deficits."""
+    """Density matrices (..., d, d) from sign weights (..., d) and overlap
+    deficits (..., k), broadcast over the leading axes."""
     cvec = _coefficient_vectors(deficits, bits)
-    lam = np.einsum("rct,nt->nrc", parity, weights)
-    return cvec[:, :, None] * cvec[:, None, :] * lam
+    lam = np.einsum("rct,...t->...rc", parity, weights)
+    return cvec[..., :, None] * cvec[..., None, :] * lam
+
+
+def _condition(tables: np.ndarray, x_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Party x_idx's sign marginals (n, 2) and conditional weights (n, 2, 4), +1 first.
+
+    A zero marginal gets the uniform conditional: it only ever enters the
+    Holevo average with weight zero.
+    """
+    weights = tables[:, _COND_IDX[x_idx, ::-1]]
+    marginal = weights.sum(axis=-1)
+    safe = np.where(marginal > 0.0, marginal, 1.0)
+    return marginal, np.where(marginal[..., None] > 0.0, weights / safe[..., None], 0.25)
 
 
 def assemble_total_state(table: PosteriorTable, overlaps) -> EveDensityMatrix:
@@ -222,7 +235,7 @@ def assemble_conditional_state(table: PosteriorTable, overlaps, party,
     The conditioned party's own factor is pure and carries no entropy, so
     only the 4x4 factor over the other two parties (in A, B, C order) is
     returned.  A zero conditioning marginal falls back to the uniform
-    conditional: it only ever enters the Holevo average with weight zero.
+    conditional, as in the Holevo core.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
@@ -230,12 +243,9 @@ def assemble_conditional_state(table: PosteriorTable, overlaps, party,
     x = np.asarray(overlaps, dtype=float)
     if x.shape != (3,):
         raise ValueError("need one overlap per party")
-    idx = _COND_IDX[x_idx, (sign + 1) // 2]
-    weights = table.probs[idx]
-    marginal = weights.sum()
-    weights = weights / marginal if marginal > 0.0 else np.full(4, 0.25)
+    _, cond = _condition(table.probs[None, :], x_idx)
     rest = x[list(_OTHER_PARTIES[x_idx])]
-    rho = _assemble_batch(weights[None, :], 1.0 - rest[None, :], _BITS4, _PAR4)[0]
+    rho = _assemble_batch(cond[:, (1 - sign) // 2], 1.0 - rest[None, :], _BITS4, _PAR4)[0]
     return EveDensityMatrix(rho)
 
 
@@ -268,12 +278,11 @@ def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits of a real symmetric density matrix.
 
     Every eigenvalue counts, after clipping rounding excursions to
-    [0, 1]; a trace or positivity violation beyond tolerance raises
-    ValueError.
+    [0, 1]; an asymmetric matrix, or a trace or positivity violation
+    beyond tolerance, raises ValueError.  The matrix is diagonalised once.
     """
     dm = rho if isinstance(rho, EveDensityMatrix) else EveDensityMatrix(np.asarray(rho))
-    dm.validate()
-    return float(_entropy_of_eigenvalues(np.linalg.eigvalsh(dm.matrix)))
+    return float(_entropy_of_eigenvalues(dm.validate()))
 
 
 def gram_spectrum(weights, overlaps) -> np.ndarray:
@@ -306,26 +315,16 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
                         party="A") -> float:
     """Holevo information on one party's sign given one announcement.
 
-    S(total) minus the posterior-weighted average of the two conditional
-    entropies.  The exact value lies in [0, 1] bits; a result outside that
-    interval by more than 1e-9 (eigensolver slack) raises ValueError, and
-    one within it is projected onto [0, 1], which never moves it further
-    from the exact value.  Where every overlap is 1 it is exactly 0 (see
-    the module notes).
+    The n = 1 view of the batched core: S(total) minus the posterior-
+    weighted average of the two conditional entropies.  The exact value
+    lies in [0, 1] bits; a result outside that interval by more than 1e-9
+    (eigensolver slack) raises ValueError, and one within it is projected
+    onto [0, 1], which never moves it further from the exact value.  Where
+    every overlap is 1 it is exactly 0 (see the module notes).
     """
     table = sign_posterior_table(mags, gamma, params)
-    overlaps = eve_overlaps(mags, params)
-    if np.all(overlaps == 1.0):
-        return 0.0
-    total = von_neumann_entropy(assemble_total_state(table, overlaps))
-    averaged = 0.0
-    for sign in (1, -1):
-        weight = single_marginal(table, party)
-        if sign == -1:
-            weight = 1.0 - weight
-        cond = assemble_conditional_state(table, overlaps, party, sign)
-        averaged += weight * von_neumann_entropy(cond)
-    chi = total - averaged
+    deficits = overlap_deficits_batch(np.asarray(mags, dtype=float)[None, :], params)
+    chi = float(_holevo_with_bound(table.probs[None, :], deficits, party, 0.0)[0][0])
     if not -1e-9 <= chi <= 1.0 + 1e-9:
         raise ValueError(f"Holevo information {chi} outside [0, 1]")
     return min(max(chi, 0.0), 1.0)
@@ -345,28 +344,25 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
     eigensolver rounding then shift each eigenvalue by at most
     ``_EIG_ABS_ERR``.
     """
+    x_idx = _party_index(party)
     if not deficits.any():
         return np.zeros(len(tables)), np.zeros(len(tables))
-    x_idx = _party_index(party)
     rel = np.asarray(rel_err, dtype=float) + 32.0 * _EPS  # coefficients and sums
-    rho = _assemble_batch(tables, deficits, _BITS8, _PAR8)
-    total, bound = _entropy_with_bound(np.linalg.eigvalsh(rho), rel[..., None], _EIG_ABS_ERR[8])
+    total, bound = _entropy_with_bound(
+        _checked_eigvalsh(_assemble_batch(tables, deficits, _BITS8, _PAR8)),
+        rel[..., None], _EIG_ABS_ERR[8])
 
-    rest = deficits[:, list(_OTHER_PARTIES[x_idx])]
-    averaged = np.zeros_like(total)
-    for bit in (1, 0):
-        weights = tables[:, _COND_IDX[x_idx, bit]]
-        marginal = weights.sum(axis=1)
-        safe = np.where(marginal > 0.0, marginal, 1.0)
-        cond = np.where(marginal[:, None] > 0.0, weights / safe[:, None], 0.25)
-        rho4 = _assemble_batch(cond, rest, _BITS4, _PAR4)
-        # Normalising by the marginal doubles the weights' relative error.
-        entropy, err = _entropy_with_bound(np.linalg.eigvalsh(rho4), 2.0 * rel[..., None],
-                                           _EIG_ABS_ERR[4])
-        averaged += marginal * entropy
-        bound += marginal * (err + rel * entropy)
+    marginal, cond = _condition(tables, x_idx)
+    rest = deficits[:, None, list(_OTHER_PARTIES[x_idx])]
+    # Normalising by the marginal doubles the weights' relative error.
+    entropy, err = _entropy_with_bound(
+        _checked_eigvalsh(_assemble_batch(cond, rest, _BITS4, _PAR4)),
+        2.0 * rel[..., None, None], _EIG_ABS_ERR[4])
+    terms = marginal * entropy
+    bounds = marginal * (err + rel[..., None] * entropy)
+    averaged = terms[:, 0] + terms[:, 1]
     chi = total - averaged
-    return chi, bound + 2.0 * _EPS * (total + averaged)
+    return chi, bound + bounds[:, 0] + bounds[:, 1] + 2.0 * _EPS * (total + averaged)
 
 
 def single_point_holevo_batch(tables: np.ndarray, overlaps: np.ndarray,

@@ -170,15 +170,23 @@ def joint_density(mags, gamma: float, params: ProtocolParams) -> float:
     Sums the outcome density over the eight equally-likely sign triples,
     weighting each party by its sign-magnitude density: a zero-mean normal
     of deviation sigma_i evaluated at mag_i (equivalently, the half sign
-    probability times the half-normal magnitude density).
+    probability times the half-normal magnitude density).  The
+    one-announcement view of :func:`_joint_density_factors`.
     """
     m = _check_mags(mags)
-    w = mean_coefficients(params)
+    outcome, mag_density = _joint_density_factors(m[None, :], np.atleast_1d(float(gamma)), params)
+    return float(outcome[0] * mag_density[0])
+
+
+def _joint_density_factors(mags: np.ndarray, gamma: np.ndarray,
+                           params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome and magnitude factors of :func:`joint_density`, for (n, 3)
+    magnitudes and (n,) outcomes, apart: the quadrature weights them in order."""
     sigma = np.asarray(params.sigma)
-    means = SIGN_PATTERNS @ (w * m)
-    lik = np.exp(-0.5 * (gamma - means) ** 2).sum() / _SQRT_2PI
-    mag_density = np.prod(np.exp(-0.5 * (m / sigma) ** 2) / (_SQRT_2PI * sigma))
-    return float(lik * mag_density)
+    means = (mags * mean_coefficients(params)) @ SIGN_PATTERNS.T
+    outcome = np.exp(-0.5 * (gamma[:, None] - means) ** 2).sum(axis=1) / _SQRT_2PI
+    mag_density = np.prod(np.exp(-0.5 * (mags / sigma) ** 2) / (_SQRT_2PI * sigma), axis=1)
+    return outcome, mag_density
 
 
 def eve_conditional_means(signs, mags, params: ProtocolParams) -> list[tuple[float, float]]:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .holevo import _holevo_with_bound, overlap_deficits_batch, single_point_holevo
 from .inference import _mi_with_bound, posterior_rel_err, posterior_table_batch, single_point_mi
-from .protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients
+from .protocol import ProtocolParams, _joint_density_factors, mean_coefficients
 
 __all__ = [
     "BLOCK_SIZE",
@@ -59,7 +59,6 @@ __all__ = [
 # changes the sample stream (the worker count never does).
 BLOCK_SIZE = 1 << 16
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
 
 # Width of the defensive mixture's second magnitude component, in units
@@ -244,8 +243,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     if nodes_per_axis < 8:
         raise ValueError("nodes_per_axis must be at least 8")
     sigma = np.asarray(params.sigma)
-    w = mean_coefficients(params)
-    m_max = float(w @ (8.0 * sigma))
+    m_max = float(mean_coefficients(params) @ (8.0 * sigma))
     g_hi = m_max + 8.0
 
     mag_axes = [_composite_gauss_legendre(0.0, 8.0 * s, nodes_per_axis) for s in sigma]
@@ -266,11 +264,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
         mags = points[start:start + _QUAD_CHUNK, :3]
         gamma = points[start:start + _QUAD_CHUNK, 3]
         _, rate_ps = certified_rates(mags, gamma, params)
-        # Explicit joint announcement density: outcome likelihood summed over
-        # sign triples times the per-party sign-magnitude densities.
-        means = (mags * w) @ SIGN_PATTERNS.T
-        outcome = np.exp(-0.5 * (gamma[:, None] - means) ** 2).sum(axis=1) / _SQRT_2PI
-        mag_density = np.prod(np.exp(-0.5 * (mags / sigma) ** 2) / (_SQRT_2PI * sigma), axis=1)
+        outcome, mag_density = _joint_density_factors(mags, gamma, params)
         total += float((quad_weights[start:start + _QUAD_CHUNK] * outcome * mag_density * rate_ps).sum())
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 

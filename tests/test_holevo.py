@@ -223,6 +223,18 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError, match="symmetric"):
             von_neumann_entropy(rho)
 
+    def test_diagonalises_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert von_neumann_entropy(np.eye(8) / 8.0) == pytest.approx(3.0, abs=1e-12)
+        assert calls == [(8, 8)]
+
 
 class TestGramOracleEntropy:
     def test_uniform_orthogonal(self):
@@ -359,11 +371,25 @@ class TestSinglePointHolevo:
     def test_out_of_range_raises(self, monkeypatch):
         """The range check raises ValueError, so it also holds under
         ``python -O``, which strips assertions."""
-        import cvconf.holevo as holevo
-        monkeypatch.setattr(holevo, "von_neumann_entropy",
-                            lambda rho: 2.0 if rho.dim == 8 else 0.0)
+        def too_large(lam, rel_err, abs_err):
+            value = 2.0 if lam.shape[-1] == 8 else 0.0
+            return np.full(lam.shape[:-1], value), np.zeros(lam.shape[:-1])
+
+        monkeypatch.setattr(cvconf.holevo, "_entropy_with_bound", too_large)
         with pytest.raises(ValueError, match="outside"):
             single_point_holevo((1, 1, 1), 0.0, ProtocolParams(tau=(0.5, 0.5, 0.5)))
+
+    def test_is_the_core_at_one_announcement(self):
+        """Bit for bit the batched core's value, projected onto [0, 1]."""
+        rng = np.random.default_rng(46)
+        for _ in range(30):
+            p = random_params(rng, overlap_convention=rng.choice(["trace", "amplitude"]))
+            mags, gamma = random_announcement(rng, p)
+            table = sign_posterior_table(mags, gamma, p)
+            deficits = overlap_deficits_batch(mags[None, :], p)
+            for party in "ABC":
+                chi = _holevo_with_bound(table.probs[None, :], deficits, party, 0.0)[0][0]
+                assert single_point_holevo(mags, gamma, p, party) == min(max(chi, 0.0), 1.0)
 
     @pytest.mark.parametrize("convention", ["trace", "amplitude"])
     def test_never_negative_at_unit_transmissivity(self, convention):
@@ -384,8 +410,7 @@ class TestSinglePointHolevo:
         def refuse(*args):
             raise AssertionError("a state was assembled")
 
-        monkeypatch.setattr(cvconf.holevo, "assemble_total_state", refuse)
-        monkeypatch.setattr(cvconf.holevo, "assemble_conditional_state", refuse)
+        monkeypatch.setattr(cvconf.holevo, "_assemble_batch", refuse)
         p = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
         assert single_point_holevo((1.5, 0.75, 0.25), 2.0, p) == 0.0
         rng = np.random.default_rng(45)
@@ -461,3 +486,35 @@ class TestExactZeros:
         chi, _ = _holevo_with_bound(table.probs[None, :],
                                     overlap_deficits_batch(np.array([mags]), p), "A", 0.0)
         assert chi[0] == pytest.approx(want, abs=1e-9)
+
+
+class TestHolevoCore:
+    """The batched core checks every spectrum it computes."""
+
+    def test_rejects_bad_trace(self):
+        tables = np.full((2, 8), 0.25)  # each row sums to 2
+        with pytest.raises(ValueError, match="trace"):
+            _holevo_with_bound(tables, np.full((2, 3), 0.5), "A", 0.0)
+
+    def test_rejects_negative_eigenvalue(self):
+        # With every overlap 0 the total state's spectrum is the table itself.
+        probs = np.full(8, 1.1 / 7.0)
+        probs[0] = -0.1
+        with pytest.raises(ValueError, match="negative"):
+            _holevo_with_bound(probs[None, :], np.ones((1, 3)), "A", 0.0)
+
+    @pytest.mark.parametrize("certain_bit", [0, 1])
+    def test_certain_sign_matches_gram_composition(self, certain_bit):
+        """A's sign is certain, so one conditional marginal is exactly 0 and
+        its state falls back to the uniform conditional with weight 0."""
+        rng = np.random.default_rng(47 + certain_bit)
+        known = SIGN_PATTERNS[:, 0] == 2 * certain_bit - 1
+        for _ in range(20):
+            probs = np.zeros(8)
+            probs[known] = rng.dirichlet(np.ones(4))
+            overlaps = rng.uniform(0.05, 0.95, 3)
+            want = gram_oracle_entropy(probs, overlaps) - gram_oracle_entropy(
+                probs[known], overlaps[1:])
+            chi, bound = _holevo_with_bound(probs[None, :], 1.0 - overlaps[None, :], "A", 0.0)
+            assert chi[0] == pytest.approx(want, abs=1e-9)
+            assert np.isfinite(bound[0]) and bound[0] >= 0.0
