@@ -24,7 +24,6 @@ from .holevo import (
     EveDensityMatrix,
     assemble_conditional_state,
     assemble_total_state,
-    coefficient_moduli,
     eve_overlaps,
     gram_oracle_entropy,
     single_point_holevo,
@@ -32,10 +31,7 @@ from .holevo import (
 )
 from .inference import (
     PosteriorTable,
-    binary_entropy,
-    pair_conditional,
     sign_posterior_table,
-    single_marginal,
     single_point_mi,
 )
 from .protocol import (
@@ -75,13 +71,9 @@ __all__ = [
     "simulate_relay",
     "PosteriorTable",
     "sign_posterior_table",
-    "single_marginal",
-    "pair_conditional",
-    "binary_entropy",
     "single_point_mi",
     "EveDensityMatrix",
     "eve_overlaps",
-    "coefficient_moduli",
     "assemble_total_state",
     "assemble_conditional_state",
     "von_neumann_entropy",

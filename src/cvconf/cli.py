@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -32,11 +33,11 @@ import numpy as np
 from . import __version__
 from .gaussian import symplectic_eigenvalues
 from .holevo import assemble_total_state, eve_overlaps, gram_oracle_entropy, \
-    gram_spectrum, single_point_holevo, von_neumann_entropy
-from .inference import sign_posterior_table, single_point_mi
+    gram_spectrum, von_neumann_entropy
+from .inference import sign_posterior_table
 from .protocol import ProtocolParams, eve_conditional_means, outcome_density, \
     simulate_relay
-from .rates import estimate_rates_mc, sweep_distance
+from .rates import _single_point_terms, sweep_distance
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
@@ -74,25 +75,31 @@ class RunConfig:
             raise ConfigError("samples: must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
-        if self.d_step <= 0:
-            raise ConfigError("d_step: must be positive")
-        if self.d_min < 0 or self.d_max < self.d_min:
-            raise ConfigError("d_min/d_max: need 0 <= d_min <= d_max")
-        if self.distances is not None and (len(self.distances) == 0
-                                           or any(d < 0 for d in self.distances)):
-            raise ConfigError("distances: must be a non-empty list of non-negative km values")
-        if len(self.sigma) != 3 or any(s <= 0 for s in self.sigma):
-            raise ConfigError("sigma: must be three positive values")
-        if self.atten_db_km < 0:
-            raise ConfigError("atten_db_km: must be non-negative")
+        # Every range check below is written so that NaN fails it.
+        if not 0 < self.d_step < math.inf:
+            raise ConfigError("d_step: must be positive and finite")
+        if not 0 <= self.d_min < math.inf:
+            raise ConfigError("d_min: must be finite and non-negative")
+        if not self.d_min <= self.d_max < math.inf:
+            raise ConfigError("d_max: must be finite and at least d_min")
+        if self.distances is not None and (len(self.distances) == 0 or not all(
+                0 <= d < math.inf for d in self.distances)):
+            raise ConfigError("distances: must be a non-empty list of finite non-negative km values")
+        if len(self.sigma) != 3 or not all(0 < s < math.inf for s in self.sigma):
+            raise ConfigError("sigma: must be three positive finite values")
+        if not 0 <= self.atten_db_km < math.inf:
+            raise ConfigError("atten_db_km: must be finite and non-negative")
         if self.convention not in ("trace", "amplitude"):
             raise ConfigError(f"convention: must be trace or amplitude, got {self.convention!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.format!r}")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
-        if self.mags is not None and (len(self.mags) != 3 or any(m < 0 for m in self.mags)):
-            raise ConfigError("mags: must be three non-negative values")
+        if self.mags is not None and (len(self.mags) != 3 or not all(
+                0 <= m < math.inf for m in self.mags)):
+            raise ConfigError("mags: must be three finite non-negative values")
+        if not math.isfinite(self.gamma):
+            raise ConfigError("gamma: must be finite")
 
     def distance_grid(self) -> list[float]:
         """Explicit distance list if given, else the (min, max, step) grid."""
@@ -274,8 +281,7 @@ def _run_point(config: RunConfig, stdout: io.TextIOBase) -> int:
         raise ConfigError("mags: required in point mode (three comma-separated values)")
     distance = config.distance_grid()[0]
     params = config.params_at(distance)
-    mi = single_point_mi(config.mags, config.gamma, params)
-    chi = single_point_holevo(config.mags, config.gamma, params)
+    mi, chi = _single_point_terms(config.mags, config.gamma, params)
     stdout.write(f"distance_km = {_fmt(distance)}\n")
     stdout.write(f"tau = {_fmt(params.tau[0])}\n")
     stdout.write(f"mi = {_fmt(mi)}\n")

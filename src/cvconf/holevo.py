@@ -48,15 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import PosteriorTable, _eta, _party_index, sign_posterior_table
-from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags
+from .inference import PosteriorTable, _eta, _party_index, posterior_table_batch
+from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcement
 
 __all__ = [
     "EveDensityMatrix",
     "eve_overlaps",
     "eve_overlaps_batch",
     "overlap_deficits_batch",
-    "coefficient_moduli",
     "assemble_total_state",
     "assemble_conditional_state",
     "von_neumann_entropy",
@@ -166,18 +165,6 @@ def eve_overlaps_batch(mags: np.ndarray, params: ProtocolParams) -> np.ndarray:
 def overlap_deficits_batch(mags: np.ndarray, params: ProtocolParams) -> np.ndarray:
     """1 - X for (n, 3) magnitude arrays, to full relative accuracy."""
     return -np.expm1(-_overlap_exponents(mags, params))
-
-
-def coefficient_moduli(overlap: float) -> tuple[float, float]:
-    """Expansion moduli (c0, c1) of the two sign states over {Phi_0, Phi_1}.
-
-    c0 = sqrt((1+X)/2) and c1 = sqrt((1-X)/2), both real non-negative;
-    X outside [0, 1] beyond 1e-12 is rejected, within it clamped.
-    """
-    if overlap < -1e-12 or overlap > 1.0 + 1e-12:
-        raise ValueError("overlap must lie in [0, 1]")
-    x = min(max(float(overlap), 0.0), 1.0)
-    return math.sqrt((1.0 + x) / 2.0), math.sqrt((1.0 - x) / 2.0)
 
 
 def _coefficient_vectors(deficits: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -322,9 +309,18 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
     onto [0, 1], which never moves it further from the exact value.  Where
     every overlap is 1 it is exactly 0 (see the module notes).
     """
-    table = sign_posterior_table(mags, gamma, params)
-    deficits = overlap_deficits_batch(np.asarray(mags, dtype=float)[None, :], params)
-    chi = float(_holevo_with_bound(table.probs[None, :], deficits, party, 0.0)[0][0])
+    mags, gamma = _one_announcement(mags, gamma)
+    tables = posterior_table_batch(mags, gamma, params)
+    chi = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), party, 0.0)[0]
+    return _holevo_in_range(float(chi[0]))
+
+
+def _holevo_in_range(chi: float) -> float:
+    """A computed Holevo information projected onto its exact range [0, 1].
+
+    Outside it by more than 1e-9 (eigensolver slack), or NaN, raises
+    ValueError; the projection never moves a value further from the exact one.
+    """
     if not -1e-9 <= chi <= 1.0 + 1e-9:
         raise ValueError(f"Holevo information {chi} outside [0, 1]")
     return min(max(chi, 0.0), 1.0)

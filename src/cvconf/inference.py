@@ -14,28 +14,27 @@ a difference 1 - p and none needs clamping; :func:`posterior_rel_err`
 bounds the table's relative rounding error, from which the rate engine
 derives a per-announcement error bound on the information.
 
-Scalar functions operate on one announcement; the ``*_batch`` variants
-are the vectorised equivalents used by the Monte-Carlo rate engine and
-accept arrays with a leading sample axis.
+The batch core (:func:`posterior_table_batch`, :func:`posterior_rel_err`
+and the information with its bound) takes arrays with a leading
+announcement axis and serves both rate estimators.  The scalar views,
+:func:`sign_posterior_table` and :func:`single_point_mi`, are that core
+at one announcement; marginals and conditionals are sums over table
+entries inside the core, not functions of their own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients, _check_mags
+from .protocol import SIGN_PATTERNS, ProtocolParams, _one_announcement, mean_coefficients
 
 __all__ = [
     "PosteriorTable",
     "sign_posterior_table",
     "posterior_table_batch",
     "posterior_rel_err",
-    "single_marginal",
-    "pair_conditional",
-    "binary_entropy",
     "single_point_mi",
     "single_point_mi_batch",
 ]
@@ -45,8 +44,6 @@ _PARTIES = {"A": 0, "B": 1, "C": 2, 0: 0, 1: 1, 2: 2}
 # Boolean masks over the table order: row t has party x positive iff
 # _POSITIVE[x][t].
 _POSITIVE = [SIGN_PATTERNS[:, x] > 0 for x in range(3)]
-
-_ENTROPY_CLAMP = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -73,8 +70,9 @@ class PosteriorTable:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (8,):
             raise ValueError("a posterior table has exactly eight entries")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("posterior entries must be non-negative and sum to 1")
+        # Written so that NaN and inf entries fail too.
+        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise ValueError("posterior entries must be finite, non-negative and sum to 1")
         object.__setattr__(self, "probs", p)
 
 
@@ -117,47 +115,7 @@ def posterior_rel_err(mags: np.ndarray, gamma: np.ndarray,
 
 def sign_posterior_table(mags, gamma: float, params: ProtocolParams) -> PosteriorTable:
     """Posterior over the eight sign triples for one announcement."""
-    m = _check_mags(mags)
-    probs = posterior_table_batch(m[None, :], np.atleast_1d(float(gamma)), params)[0]
-    return PosteriorTable(probs)
-
-
-def single_marginal(table: PosteriorTable, party) -> float:
-    """Posterior probability that one party's sign is +1."""
-    return float(table.probs[_POSITIVE[_party_index(party)]].sum())
-
-
-def pair_conditional(table: PosteriorTable, target, given, given_sign: int) -> float:
-    """Posterior probability of target sign +1 given another party's sign.
-
-    A conditioning event of probability zero returns 1/2: in the mutual
-    information it is weighted by that zero probability, so the value is
-    immaterial, and 1/2 keeps the entropy finite.
-    """
-    if given_sign not in (-1, 1):
-        raise ValueError("given_sign must be -1 or +1")
-    t = _party_index(target)
-    g = _party_index(given)
-    g_mask = _POSITIVE[g] if given_sign == 1 else ~_POSITIVE[g]
-    marginal = table.probs[g_mask].sum()
-    if marginal == 0.0:
-        return 0.5
-    return float(table.probs[g_mask & _POSITIVE[t]].sum() / marginal)
-
-
-def binary_entropy(p: float) -> float:
-    """Binary entropy in bits, with 0*log(0) taken as 0.
-
-    Probabilities within 1e-12 of 0 or 1 are clamped before the logarithm
-    (a floating-point guard costing at most ~4e-11 bits); values outside
-    [0, 1] beyond that tolerance are rejected.
-    """
-    if p < -_ENTROPY_CLAMP or p > 1.0 + _ENTROPY_CLAMP:
-        raise ValueError("probability must lie in [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    if p <= _ENTROPY_CLAMP or p >= 1.0 - _ENTROPY_CLAMP:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return PosteriorTable(posterior_table_batch(*_one_announcement(mags, gamma), params)[0])
 
 
 def single_point_mi(mags, gamma: float, params: ProtocolParams,

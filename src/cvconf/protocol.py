@@ -81,10 +81,10 @@ class ProtocolParams:
         sigma = tuple(float(s) for s in self.sigma)
         if len(tau) != 3 or not all(0.0 < t <= 1.0 for t in tau):
             raise ValueError("tau must be three transmissivities in (0, 1]")
-        if len(sigma) != 3 or not all(s > 0.0 for s in sigma):
-            raise ValueError("sigma must be three positive standard deviations")
-        if self.attenuation_db_per_km < 0.0:
-            raise ValueError("attenuation_db_per_km must be non-negative")
+        if len(sigma) != 3 or not all(0.0 < s < math.inf for s in sigma):
+            raise ValueError("sigma must be three positive finite standard deviations")
+        if not 0.0 <= self.attenuation_db_per_km < math.inf:
+            raise ValueError("attenuation_db_per_km must be finite and non-negative")
         if self.overlap_convention not in ("trace", "amplitude"):
             raise ValueError("overlap_convention must be 'trace' or 'amplitude'")
         object.__setattr__(self, "tau", tau)
@@ -151,6 +151,14 @@ def _check_mags(mags) -> np.ndarray:
     return m
 
 
+def _one_announcement(mags, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Checked magnitudes and outcome as the (1, 3) and (1,) batch of one announcement."""
+    g = float(gamma)
+    if not math.isfinite(g):
+        raise ValueError("the outcome gamma must be finite")
+    return _check_mags(mags)[None, :], np.array([g])
+
+
 def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:
     """Density of the reconciled homodyne outcome given signs and magnitudes.
 
@@ -173,8 +181,7 @@ def joint_density(mags, gamma: float, params: ProtocolParams) -> float:
     probability times the half-normal magnitude density).  The
     one-announcement view of :func:`_joint_density_factors`.
     """
-    m = _check_mags(mags)
-    outcome, mag_density = _joint_density_factors(m[None, :], np.atleast_1d(float(gamma)), params)
+    outcome, mag_density = _joint_density_factors(*_one_announcement(mags, gamma), params)
     return float(outcome[0] * mag_density[0])
 
 

@@ -39,9 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holevo import _holevo_with_bound, overlap_deficits_batch, single_point_holevo
-from .inference import _mi_with_bound, posterior_rel_err, posterior_table_batch, single_point_mi
-from .protocol import ProtocolParams, _joint_density_factors, mean_coefficients
+from .holevo import _holevo_in_range, _holevo_with_bound, overlap_deficits_batch
+from .inference import _mi_with_bound, posterior_rel_err, posterior_table_batch
+from .protocol import ProtocolParams, _joint_density_factors, _one_announcement, \
+    mean_coefficients
+# Not called here; the benchmark's span tracer wraps these two names of this module.
+from .holevo import single_point_holevo  # noqa: F401
+from .inference import single_point_mi  # noqa: F401
 
 __all__ = [
     "BLOCK_SIZE",
@@ -94,10 +98,21 @@ class SweepPoint:
 
 
 def single_point_rate(mags, gamma: float, params: ProtocolParams) -> float:
-    """Single-point rate I(A:B) - chi(A) for one announcement; may be negative."""
-    mi = single_point_mi(mags, gamma, params)
-    chi = single_point_holevo(mags, gamma, params)
+    """Single-point rate I(A:B) - chi(A) for one announcement; may be negative.
+
+    The n = 1 view of :func:`_rate_terms`: both terms come from one
+    posterior table and equal ``single_point_mi`` and ``single_point_holevo``
+    exactly, so the rate is their difference bit for bit.
+    """
+    mi, chi = _single_point_terms(mags, gamma, params)
     return mi - chi
+
+
+def _single_point_terms(mags, gamma: float, params: ProtocolParams) -> tuple[float, float]:
+    """I(A:B) and chi(A) of one announcement from one posterior table, chi checked
+    and projected onto [0, 1] as by ``single_point_holevo``."""
+    mi, chi, _ = _rate_terms(*_one_announcement(mags, gamma), params)
+    return float(mi[0]), _holevo_in_range(float(chi[0]))
 
 
 def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
@@ -188,6 +203,8 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         raise ValueError("n_samples must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     tasks = [
         (seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), params)

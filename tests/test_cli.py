@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import cvconf.holevo
+import cvconf.inference
+import cvconf.rates
 from cvconf.cli import CSV_HEADER, ConfigError, RunConfig, build_config, main, make_parser
 
 
@@ -63,11 +66,29 @@ class TestConfigHandling:
         (["--samples", "0"], "samples"),
         (["--seed", "-3"], "seed"),
         (["--d-step", "0"], "d_step"),
+        (["--d-step", "nan"], "d_step"),
+        (["--d-min", "nan"], "d_min"),
+        (["--d-max", "inf"], "d_max"),
+        (["--d-max", "nan"], "d_max"),
+        (["--distances", "nan"], "distances"),
+        (["--distances", "1,inf"], "distances"),
+        (["--sigma", "1,nan,1"], "sigma"),
+        (["--sigma", "inf,1,1"], "sigma"),
+        (["--atten-db-km", "nan"], "atten_db_km"),
+        (["--atten-db-km", "inf"], "atten_db_km"),
+        (["--gamma", "nan"], "gamma"),
+        (["--gamma=-inf"], "gamma"),
     ])
     def test_invalid_flags_exit_with_diagnostic(self, argv, key, capsys):
         code, _, err = run_cli(argv + ["--mode", "point", "--mags", "0,0,0"], capsys)
         assert code == 2
         assert key.replace("_", "-") in err or key in err
+
+    @pytest.mark.parametrize("mags", ["1,nan,1", "inf,1,1"])
+    def test_non_finite_mags_are_named(self, mags, capsys):
+        code, _, err = run_cli(["--mode", "point", "--mags", mags], capsys)
+        assert code == 2
+        assert "mags" in err
 
 
 class TestPointMode:
@@ -90,6 +111,34 @@ class TestPointMode:
         assert float(values["holevo"]) > 0.0
         assert float(values["rate"]) == pytest.approx(
             float(values["mi"]) - float(values["holevo"]), abs=1e-12)
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--mags", "1,1,1", "--gamma", "0.5", "--distances", "3"],
+         "distance_km = 3\ntau = 0.8709635899560807\nmi = 0.030494769947083\n"
+         "holevo = 0.33669390439215396\nrate = -0.30619913444507096\n"),
+        (["--mags", "1.5,0.75,0.25", "--gamma", "2.0"],
+         "distance_km = 0\ntau = 1\nmi = 0.0087272014681170074\n"
+         "holevo = 0\nrate = 0.0087272014681170074\n"),
+    ])
+    def test_output_is_frozen(self, argv, want, capsys):
+        code, out, _ = run_cli(["--mode", "point"] + argv, capsys)
+        assert code == 0
+        assert out == want
+
+    def test_builds_one_posterior_table(self, monkeypatch, capsys):
+        calls = []
+        original = cvconf.inference.posterior_table_batch
+
+        def counting(mags, gamma, params):
+            calls.append(len(gamma))
+            return original(mags, gamma, params)
+
+        for module in (cvconf.inference, cvconf.holevo, cvconf.rates):
+            monkeypatch.setattr(module, "posterior_table_batch", counting, raising=False)
+        code, _, _ = run_cli(["--mode", "point", "--mags", "1,1,1", "--gamma", "0.5",
+                              "--distances", "3"], capsys)
+        assert code == 0
+        assert calls == [1]
 
     def test_missing_mags_is_an_error(self, capsys):
         code, _, err = run_cli(["--mode", "point"], capsys)

@@ -9,10 +9,10 @@ from cvconf.gaussian import make_coherent_product, overlap_trace, pure_loss_tap
 import cvconf.holevo
 from cvconf.holevo import (
     EveDensityMatrix,
+    _coefficient_vectors,
     _holevo_with_bound,
     assemble_conditional_state,
     assemble_total_state,
-    coefficient_moduli,
     eve_overlaps,
     eve_overlaps_batch,
     gram_oracle_entropy,
@@ -88,7 +88,15 @@ class TestEveOverlaps:
             assert np.allclose(batch[k], eve_overlaps(mags[k], p), atol=1e-15)
 
 
+def coefficient_moduli(overlap):
+    """(c0, c1) of one party from the core, at overlap X (deficit 1 - X)."""
+    c0, c1 = _coefficient_vectors(np.array([1.0 - overlap]), np.array([[0.0], [1.0]]))
+    return c0, c1
+
+
 class TestCoefficientModuli:
+    """One party's expansion moduli c0 = sqrt((1+X)/2), c1 = sqrt((1-X)/2)."""
+
     def test_identical_states(self):
         assert coefficient_moduli(1.0) == (1.0, 0.0)
 
@@ -108,12 +116,6 @@ class TestCoefficientModuli:
             assert c0 * c0 + c1 * c1 == pytest.approx(1.0, abs=1e-12)
             # The overlap is reproduced by the expansion signs.
             assert c0 * c0 - c1 * c1 == pytest.approx(x, abs=1e-12)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="overlap"):
-            coefficient_moduli(1.001)
-        with pytest.raises(ValueError, match="overlap"):
-            coefficient_moduli(-0.001)
 
 
 class TestAssembleTotalState:

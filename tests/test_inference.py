@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from cvconf.holevo import _condition
 from cvconf.inference import (
     PosteriorTable,
-    binary_entropy,
-    pair_conditional,
+    _mi_with_bound,
     posterior_table_batch,
     sign_posterior_table,
-    single_marginal,
     single_point_mi,
     single_point_mi_batch,
 )
@@ -43,6 +42,13 @@ class TestPosteriorTable:
             PosteriorTable(np.ones(8))
         with pytest.raises(ValueError, match="non-negative"):
             PosteriorTable(np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
+        for bad in (math.nan, math.inf, -math.inf):
+            probs = np.full(8, 0.125)
+            probs[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PosteriorTable(probs)
+            with pytest.raises(ValueError, match="finite"):
+                PosteriorTable(np.full(8, bad))
 
     def test_zero_magnitudes_give_uniform_table(self):
         p = ProtocolParams(tau=(0.9, 0.8, 0.7))
@@ -87,87 +93,108 @@ class TestPosteriorTable:
             assert np.allclose(got.probs, want, atol=1e-12)
 
 
+def conditioned(probs, party):
+    """Party x's sign marginals (+1, -1) and conditional weights from the core."""
+    marginal, cond = _condition(np.asarray(probs, dtype=float)[None, :], "ABC".index(party))
+    return marginal[0], cond[0]
+
+
+def other_index(signs, party):
+    """Row of a conditional table: the two other parties' bits in A, B, C order."""
+    bits = [int(s > 0) for x, s in enumerate(signs) if x != "ABC".index(party)]
+    return 2 * bits[0] + bits[1]
+
+
 class TestMarginalsAndConditionals:
+    """The sign marginals and conditionals of the Holevo core (``_condition``)."""
+
     def test_uniform_marginal_is_half(self):
-        table = PosteriorTable(np.full(8, 0.125))
         for party in ("A", "B", "C"):
-            assert single_marginal(table, party) == pytest.approx(0.5, abs=1e-15)
+            marginal, _ = conditioned(np.full(8, 0.125), party)
+            assert marginal == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_concentrated_table(self):
         probs = np.zeros(8)
         probs[7] = 1.0  # (+,+,+)
-        table = PosteriorTable(probs)
         for party in ("A", "B", "C"):
-            assert single_marginal(table, party) == 1.0
+            marginal, cond = conditioned(probs, party)
+            assert marginal[0] == 1.0 and marginal[1] == 0.0
+            assert list(cond[0]) == [0.0, 0.0, 0.0, 1.0]
 
     def test_marginal_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             probs = rng.dirichlet(np.ones(8))
-            table = PosteriorTable(probs)
             for x, party in enumerate("ABC"):
-                want = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[x] > 0)
-                assert single_marginal(table, party) == pytest.approx(want, abs=1e-12)
+                marginal, _ = conditioned(probs, party)
+                for k, sign in enumerate((1, -1)):
+                    want = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[x] == sign)
+                    assert marginal[k] == pytest.approx(want, abs=1e-12)
 
     def test_uniform_conditional_is_half(self):
-        table = PosteriorTable(np.full(8, 0.125))
-        assert pair_conditional(table, "A", "B", 1) == pytest.approx(0.5, abs=1e-15)
+        for party in ("A", "B", "C"):
+            _, cond = conditioned(np.full(8, 0.125), party)
+            assert cond == pytest.approx(np.full((2, 4), 0.25), abs=1e-15)
+            # Either other party is +1 in two of the four rows.
+            assert cond[0, 2] + cond[0, 3] == pytest.approx(0.5, abs=1e-15)
 
     def test_perfectly_correlated_conditional(self):
         probs = np.zeros(8)
         probs[7] = 0.5  # (+,+,+)
         probs[0] = 0.5  # (-,-,-)
-        table = PosteriorTable(probs)
-        assert pair_conditional(table, "A", "B", 1) == 1.0
-        assert pair_conditional(table, "A", "B", -1) == 0.0
+        _, cond = conditioned(probs, "B")
+        # Rows over (A, C): given B = +1, A is +1 (rows 2, 3) with certainty.
+        assert cond[0, 2] + cond[0, 3] == 1.0
+        assert cond[1, 2] + cond[1, 3] == 0.0
 
     def test_conditional_matches_brute_force(self):
         rng = np.random.default_rng(24)
         for _ in range(30):
             probs = rng.dirichlet(np.ones(8))
-            table = PosteriorTable(probs)
-            for target, given in (("A", "B"), ("B", "C"), ("C", "A")):
-                t = "ABC".index(target)
-                g = "ABC".index(given)
-                for sign in (1, -1):
-                    num = sum(pr for pr, s in zip(probs, SIGN_PATTERNS)
-                              if s[t] > 0 and s[g] * sign > 0)
-                    den = sum(pr for pr, s in zip(probs, SIGN_PATTERNS)
-                              if s[g] * sign > 0)
-                    assert pair_conditional(table, target, given, sign) == \
-                        pytest.approx(num / den, abs=1e-12)
+            for x, party in enumerate("ABC"):
+                _, cond = conditioned(probs, party)
+                for k, sign in enumerate((1, -1)):
+                    den = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[x] == sign)
+                    want = np.zeros(4)
+                    for pr, s in zip(probs, SIGN_PATTERNS):
+                        if s[x] == sign:
+                            want[other_index(s, party)] += pr / den
+                    assert cond[k] == pytest.approx(want, abs=1e-12)
 
     def test_zero_marginal_returns_half(self):
+        """A zero conditioning marginal falls back to the uniform conditional."""
         probs = np.zeros(8)
         probs[:4] = 0.25  # A is always -1
-        table = PosteriorTable(probs)
-        assert pair_conditional(table, "B", "A", 1) == 0.5
+        marginal, cond = conditioned(probs, "A")
+        assert marginal[0] == 0.0
+        assert list(cond[0]) == [0.25] * 4
+        assert cond[0, 2] + cond[0, 3] == 0.5  # B = +1 given A = +1
+
+
+def correlated_mi(p):
+    """I(A:B) from the core for A = B, positive with probability p: the binary entropy h(p)."""
+    probs = np.zeros(8)
+    probs[7] = p        # (+,+,+)
+    probs[0] = 1.0 - p  # (-,-,-)
+    return float(_mi_with_bound(probs[None, :], ("A", "B"), 0.0)[0][0])
 
 
 class TestBinaryEntropy:
+    """Perfectly correlated signs share exactly the binary entropy of either."""
+
     def test_half_is_one_bit(self):
-        assert binary_entropy(0.5) == 1.0
+        assert correlated_mi(0.5) == 1.0
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_is_zero(self, p):
-        assert binary_entropy(p) == 0.0
+        assert correlated_mi(p) == 0.0
 
     def test_direct_evaluation(self):
-        assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
+        assert correlated_mi(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
 
     def test_symmetry(self):
         for p in (0.03, 0.2, 0.41):
-            assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p), abs=1e-14)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binary_entropy(1.000001)
-        with pytest.raises(ValueError):
-            binary_entropy(-0.000001)
-
-    def test_clamps_within_tolerance(self):
-        assert binary_entropy(1.0 + 5e-13) == 0.0
-        assert binary_entropy(-5e-13) == 0.0
+            assert correlated_mi(p) == pytest.approx(correlated_mi(1 - p), abs=1e-14)
 
 
 class TestSinglePointMi:

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from cvconf.holevo import single_point_holevo
+from cvconf.inference import sign_posterior_table, single_point_mi
 from cvconf.protocol import (
     SIGN_PATTERNS,
     ProtocolParams,
+    _one_announcement,
     eve_conditional_means,
     joint_density,
     mean_coefficients,
@@ -15,6 +18,7 @@ from cvconf.protocol import (
     simulate_relay,
     transmissivity_from_distance,
 )
+from cvconf.rates import single_point_rate
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -45,8 +49,14 @@ class TestProtocolParams:
             ProtocolParams(tau=tau)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            ProtocolParams(tau=(1, 1, 1), sigma=(1.0, 0.0, 1.0))
+        for sigma in ((1.0, 0.0, 1.0), (math.inf, 1, 1), (1, math.nan, 1), (1, 1, -math.inf)):
+            with pytest.raises(ValueError, match="sigma"):
+                ProtocolParams(tau=(1, 1, 1), sigma=sigma)
+
+    @pytest.mark.parametrize("atten", [math.nan, math.inf])
+    def test_rejects_non_finite_attenuation(self, atten):
+        with pytest.raises(ValueError, match="attenuation_db_per_km"):
+            ProtocolParams(tau=(1, 1, 1), attenuation_db_per_km=atten)
 
     def test_cascade_is_fixed(self):
         with pytest.raises(TypeError, match="cascade"):
@@ -123,6 +133,29 @@ class TestOutcomeDensity:
         p = ProtocolParams(tau=(1, 1, 1))
         with pytest.raises(ValueError, match="signs"):
             outcome_density((1, 0, 1), (1, 1, 1), 0.0, p)
+
+
+class TestOneAnnouncement:
+    """The input check behind every single-announcement view of a batch core."""
+
+    def test_returns_a_batch_of_one(self):
+        mags, gamma = _one_announcement([1, 2.5, 0], -0.25)
+        assert mags.shape == (1, 3) and mags.dtype == float
+        assert list(mags[0]) == [1.0, 2.5, 0.0]
+        assert gamma.shape == (1,) and gamma[0] == -0.25
+
+    @pytest.mark.parametrize("mags", [(1, 1), (1, -1, 1), (1, math.nan, 1), (math.inf, 1, 1)])
+    def test_rejects_bad_magnitudes(self, mags):
+        with pytest.raises(ValueError, match="magnitudes"):
+            _one_announcement(mags, 0.0)
+
+    @pytest.mark.parametrize("view", [joint_density, sign_posterior_table, single_point_mi,
+                                      single_point_holevo, single_point_rate])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_every_view_rejects_a_non_finite_outcome(self, view, gamma):
+        p = ProtocolParams(tau=(0.9, 0.8, 0.7))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            view((1.0, 1.0, 1.0), gamma, p)
 
 
 class TestJointDensity:

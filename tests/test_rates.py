@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import cvconf.holevo
+import cvconf.inference
 import cvconf.rates
 from cvconf.holevo import single_point_holevo
 from cvconf.inference import single_point_mi
@@ -47,6 +49,35 @@ class TestSinglePointRate:
     def test_can_be_negative(self):
         p = ProtocolParams(tau=(0.5, 0.5, 0.5))
         assert single_point_rate((1.0, 1.0, 1.0), 0.0, p) < 0.0
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_is_mi_minus_holevo_bit_for_bit(self, convention):
+        """The rate of one announcement is exactly the difference of its two terms."""
+        rng = np.random.default_rng(57)
+        template = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
+        for distance in range(8):
+            p = template.at_distance(float(distance))
+            for _ in range(12):
+                mags = np.abs(rng.normal(0, 1.0, 3)) * rng.choice([1.0, 3.0])
+                gamma = rng.normal(mean_coefficients(p) @ mags, 1.0)
+                want = single_point_mi(mags, gamma, p) - single_point_holevo(mags, gamma, p)
+                assert single_point_rate(mags, gamma, p) == want
+
+    def test_builds_one_posterior_table(self, monkeypatch):
+        calls = []
+        original = cvconf.inference.posterior_table_batch
+
+        def counting(mags, gamma, params):
+            calls.append(len(gamma))
+            return original(mags, gamma, params)
+
+        for module in (cvconf.inference, cvconf.holevo, cvconf.rates):
+            monkeypatch.setattr(module, "posterior_table_batch", counting, raising=False)
+        p = ProtocolParams(tau=(0.6, 0.6, 0.6))
+        for gamma in (-1.5, 0.0, 0.7):
+            calls.clear()
+            single_point_rate((1.2, 0.4, 2.0), gamma, p)
+            assert calls == [1]
 
 
 class TestEstimateRatesMc:
@@ -131,6 +162,11 @@ class TestEstimateRatesMc:
             estimate_rates_mc(p, 0)
         with pytest.raises(ValueError, match="seed"):
             estimate_rates_mc(p, 10, seed=-1)
+        for n_workers in (0, -5):
+            with pytest.raises(ValueError, match="n_workers must be at least 1"):
+                estimate_rates_mc(p, 10, n_workers=n_workers)
+            with pytest.raises(ValueError, match="n_workers must be at least 1"):
+                sweep_distance(p, [0.0, 1.0], 10, n_workers=n_workers)
 
 
 def _mpmath_rate(mp, mags, gamma, params):
