@@ -15,8 +15,10 @@ Three modes:
 
 Options may also be given in a flat ``key = value`` config file; explicit
 flags take precedence over the file, which takes precedence over the
-defaults.  Identical configurations (including the seed) produce
-byte-identical output files regardless of the worker count.
+defaults.  One table parses every key from its text, flag or file alike,
+and :meth:`RunConfig.validate` is the only value check.  Identical
+configurations (including the seed) produce byte-identical output files
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +37,14 @@ from .gaussian import symplectic_eigenvalues
 from .holevo import assemble_total_state, eve_overlaps, gram_oracle_entropy, \
     gram_spectrum, von_neumann_entropy
 from .inference import sign_posterior_table
-from .protocol import ProtocolParams, eve_conditional_means, outcome_density, \
-    simulate_relay
+from .protocol import ProtocolParams, eve_conditional_means, mean_coefficients, \
+    outcome_density, simulate_relay
 from .rates import _single_point_terms, sweep_distance
 
-__all__ = ["RunConfig", "ConfigError", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "pipeline_check", "run", "main"]
 
 CSV_HEADER = "distance_km,tau,rate_ps,rate_no_ps,stderr_ps,stderr_no_ps,n_samples,seed,convention"
+_MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -73,8 +76,8 @@ class RunConfig:
             raise ConfigError(f"mode: must be sweep, point or validate, got {self.mode!r}")
         if self.samples < 1:
             raise ConfigError("samples: must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed: must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed: must be non-negative and below 2**64")
         # Every range check below is written so that NaN fails it.
         if not 0 < self.d_step < math.inf:
             raise ConfigError("d_step: must be positive and finite")
@@ -82,6 +85,11 @@ class RunConfig:
             raise ConfigError("d_min: must be finite and non-negative")
         if not self.d_min <= self.d_max < math.inf:
             raise ConfigError("d_max: must be finite and at least d_min")
+        # distance_grid() makes round(steps) + 1 points: at most N below N - 0.5 steps.
+        if self.distances is None and not (
+                (self.d_max - self.d_min) / self.d_step < _MAX_GRID_POINTS - 0.5):
+            raise ConfigError(f"d_step: the grid from d_min to d_max must have "
+                              f"at most {_MAX_GRID_POINTS} points")
         if self.distances is not None and (len(self.distances) == 0 or not all(
                 0 <= d < math.inf for d in self.distances)):
             raise ConfigError("distances: must be a non-empty list of finite non-negative km values")
@@ -118,21 +126,30 @@ class RunConfig:
         return template.at_distance(distance_km)
 
 
-def _parse_triple(text: str, key: str) -> tuple[float, float, float]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three comma-separated values, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{key}: could not parse {text!r} as numbers") from None
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma list; ``validate`` checks its length."""
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _parse_distances(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"distances: could not parse {text!r} as numbers") from None
+# The one place a key is parsed or described: its parser from text and its
+# help line, for flags and config files alike.
+_KEYS = {
+    "mode": (str, "sweep, point or validate"),
+    "d_min": (float, "first distance in km"),
+    "d_max": (float, "last distance in km"),
+    "d_step": (float, "grid step in km"),
+    "distances": (_floats, "explicit comma-separated distances, overrides the grid"),
+    "sigma": (_floats, "modulation standard deviations, comma triple"),
+    "atten_db_km": (float, "fibre attenuation in dB/km (default 0.2)"),
+    "convention": (str, "overlap convention for the Holevo bound: trace or amplitude"),
+    "samples": (int, "Monte-Carlo samples per distance"),
+    "seed": (int, "random stream seed"),
+    "out": (str, "output path (default: stdout)"),
+    "format": (str, "output format: csv or json"),
+    "workers": (int, "parallel worker processes"),
+    "mags": (_floats, "announced magnitudes for point mode, comma triple"),
+    "gamma": (float, "relay outcome for point mode"),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -150,50 +167,25 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config: line {lineno} is not 'key = value': {raw.strip()!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown config key")
+        values[key] = value.strip()
     return values
 
 
-_FILE_PARSERS = {
-    "mode": str,
-    "d_min": float,
-    "d_max": float,
-    "d_step": float,
-    "distances": _parse_distances,
-    "sigma": lambda text: _parse_triple(text, "sigma"),
-    "atten_db_km": float,
-    "convention": str,
-    "samples": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "workers": int,
-    "mags": lambda text: _parse_triple(text, "mags"),
-    "gamma": float,
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file values over defaults."""
-    merged: dict = {}
-    if args.config is not None:
-        for key, text in load_config_file(args.config).items():
-            if key not in _FILE_PARSERS:
-                raise ConfigError(f"{key}: unknown config key")
-            try:
-                merged[key] = _FILE_PARSERS[key](text)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: could not parse {text!r}") from None
-    for field in fields(RunConfig):
-        flag_value = getattr(args, field.name, None)
-        if flag_value is None:
-            continue
-        if field.name in ("sigma", "mags", "distances") and isinstance(flag_value, str):
-            flag_value = _FILE_PARSERS[field.name](flag_value)
-        merged[field.name] = flag_value
-    config = RunConfig(**merged)
+    """Merge flag text over config-file text, parse it, and fill in defaults."""
+    texts = load_config_file(args.config) if args.config is not None else {}
+    texts.update((key, text) for key, text in vars(args).items()
+                 if key in _KEYS and text is not None)
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _KEYS[key][0](text)
+        except ValueError:
+            raise ConfigError(f"{key}: could not parse {text!r}") from None
+    config = RunConfig(**values)
     config.validate()
     return config
 
@@ -207,30 +199,20 @@ def _sweep_records(config: RunConfig) -> list[dict]:
     points = sweep_distance(template, config.distance_grid(), config.samples,
                             seed=config.seed, n_workers=config.workers)
     return [
-        {
-            "distance_km": p.distance_km,
-            "tau": p.tau,
-            "rate_ps": p.estimate.value,
-            "rate_no_ps": p.estimate_no_ps.value,
-            "stderr_ps": p.estimate.std_error,
-            "stderr_no_ps": p.estimate_no_ps.std_error,
-            "n_samples": p.estimate.n_samples,
-            "seed": config.seed,
-            "convention": config.convention,
-        }
+        dict(zip(CSV_HEADER.split(","), (  # the values in CSV_HEADER's order
+            p.distance_km, p.tau, p.estimate.value, p.estimate_no_ps.value,
+            p.estimate.std_error, p.estimate_no_ps.std_error, p.estimate.n_samples,
+            config.seed, config.convention)))
         for p in points
     ]
 
 
 def _render_csv(records: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r["distance_km"]), _fmt(r["tau"]),
-            _fmt(r["rate_ps"]), _fmt(r["rate_no_ps"]),
-            _fmt(r["stderr_ps"]), _fmt(r["stderr_no_ps"]),
-            str(r["n_samples"]), str(r["seed"]), r["convention"],
-        ]))
+    columns = CSV_HEADER.split(",")
+    lines = [CSV_HEADER] + [
+        ",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
+        for r in records
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -269,10 +251,7 @@ def _write_output(text: str, config: RunConfig, stdout: io.TextIOBase) -> int:
 
 def _run_sweep(config: RunConfig, stdout: io.TextIOBase) -> int:
     records = _sweep_records(config)
-    if config.format == "csv":
-        text = _render_csv(records)
-    else:
-        text = _render_json(records, config)
+    text = _render_csv(records) if config.format == "csv" else _render_json(records, config)
     return _write_output(text, config, stdout)
 
 
@@ -290,30 +269,40 @@ def _run_point(config: RunConfig, stdout: io.TextIOBase) -> int:
     return 0
 
 
+def pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    """One random relay run through the phase-space pipeline against the model.
+
+    Returns the outcome density's relative error against the analytic one,
+    and for the eavesdropper's state: the largest deviation of its covariance
+    from the identity and of its p-means from the analytic means, and its
+    smallest symplectic eigenvalue.  Acceptance criterion 5 draws from here.
+    """
+    params = ProtocolParams(
+        tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
+        sigma=tuple(rng.uniform(0.2, 3.0, 3)),
+    )
+    signs = rng.choice([-1.0, 1.0], 3)
+    p_mags = np.abs(rng.normal(0.0, params.sigma))
+    q_mags = np.abs(rng.normal(0.0, params.sigma))
+    gamma = float(rng.normal(mean_coefficients(params) @ (signs * p_mags), 1.0))
+    result = simulate_relay(signs, q_mags, p_mags, params,
+                            (rng.normal(), rng.normal(), gamma))
+    want = outcome_density(signs, p_mags, gamma, params)
+    eve = result.eve_state
+    mean_dev = max(abs(eve.mean[2 * mode + 1] - mp) for mode, (_, mp)
+                   in enumerate(eve_conditional_means(signs, p_mags, params)))
+    return (abs(result.reconciled_likelihood - want) / want,
+            float(np.max(np.abs(eve.cov - np.eye(6)))), float(mean_dev),
+            float(np.min(symplectic_eigenvalues(eve.cov))))
+
+
 def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
     """Phase-space pipeline against the analytic density; returns (passed, total)."""
     passed = 0
     for _ in range(n_draws):
-        params = ProtocolParams(
-            tau=tuple(rng.uniform(0.05, 1.0, 3)),
-            sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-        )
-        signs = tuple(rng.choice([-1.0, 1.0], 3))
-        p_mags = np.abs(rng.normal(0.0, params.sigma))
-        q_mags = np.abs(rng.normal(0.0, params.sigma))
-        gamma = float(rng.normal(0.0, 2.0))
-        q_outs = rng.normal(0.0, 1.5, 2)
-        result = simulate_relay(signs, q_mags, p_mags, params,
-                                (q_outs[0], q_outs[1], gamma))
-        analytic = outcome_density(signs, p_mags, gamma, params)
-        ok = abs(result.reconciled_likelihood - analytic) <= 1e-10 * analytic
-        eve = result.eve_state
-        ok &= bool(np.max(np.abs(eve.cov - np.eye(6))) <= 1e-12)
-        expected = eve_conditional_means(signs, p_mags, params)
-        for mode, (mq, mp) in enumerate(expected):
-            ok &= abs(eve.mean[2 * mode + 1] - mp) <= 1e-12
-        ok &= bool(np.min(symplectic_eigenvalues(eve.cov)) >= 1.0 - 1e-9)
-        passed += int(ok)
+        rel, cov_dev, mean_dev, min_nu = pipeline_check(rng)
+        passed += (rel <= 1e-10 and cov_dev <= 1e-12 and mean_dev <= 1e-12
+                   and min_nu >= 1.0 - 1e-9)
     return passed, n_draws
 
 
@@ -357,28 +346,11 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvconf",
         description="Post-selected key rates of the three-party relay protocol.",
+        epilog="A malformed value exits with status 2 and names its key.",
     )
     parser.add_argument("--config", help="flat key=value config file; flags take precedence")
-    parser.add_argument("--mode", choices=["sweep", "point", "validate"])
-    parser.add_argument("--d-min", dest="d_min", type=float, help="first distance in km")
-    parser.add_argument("--d-max", dest="d_max", type=float, help="last distance in km")
-    parser.add_argument("--d-step", dest="d_step", type=float, help="grid step in km")
-    parser.add_argument("--distances",
-                        help="explicit comma-separated distances, overrides the grid")
-    parser.add_argument("--sigma",
-                        help="modulation standard deviations, comma triple")
-    parser.add_argument("--atten-db-km", dest="atten_db_km", type=float,
-                        help="fibre attenuation in dB/km (default 0.2)")
-    parser.add_argument("--convention", choices=["trace", "amplitude"],
-                        help="overlap convention for the Holevo bound")
-    parser.add_argument("--samples", type=int, help="Monte-Carlo samples per distance")
-    parser.add_argument("--seed", type=int, help="random stream seed")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
-    parser.add_argument("--mags",
-                        help="announced magnitudes for point mode, comma triple")
-    parser.add_argument("--gamma", type=float, help="relay outcome for point mode")
+    for key, (_, help_text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text)
     return parser
 
 
@@ -396,11 +368,7 @@ def run(config: RunConfig, stdout: io.TextIOBase | None = None) -> int:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(build_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

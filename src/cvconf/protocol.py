@@ -156,7 +156,12 @@ def _one_announcement(mags, gamma) -> tuple[np.ndarray, np.ndarray]:
     g = float(gamma)
     if not math.isfinite(g):
         raise ValueError("the outcome gamma must be finite")
-    return _check_mags(mags)[None, :], np.array([g])
+    m = _check_mags(mags)
+    # The posterior table and its error bound square this spread (every w_i <= 1).
+    spread = abs(g) + sum(m.tolist())
+    if not math.isfinite(32.0 * spread * spread):
+        raise ValueError("gamma and mags are too large: 32*(|gamma| + sum(mags))**2 overflows")
+    return m[None, :], np.array([g])
 
 
 def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:

@@ -182,7 +182,7 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     n_samples : int
         Total announcement samples (>= 1).
     seed : int
-        Non-negative stream seed; together with the sample index it fully
+        Stream seed in [0, 2**64); together with the sample index it fully
         determines each sample's randomness.
     n_workers : int
         Blocks are evaluated in min(n_workers, blocks) processes when that
@@ -203,6 +203,8 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         raise ValueError("n_samples must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if seed >= 2**64:
+        raise ValueError("seed must be below 2**64")
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -25,8 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from cvconf.cli import main as cli_main
-from cvconf.gaussian import symplectic_eigenvalues
+from cvconf.cli import main as cli_main, pipeline_check
 from cvconf.holevo import (
     assemble_total_state,
     eve_overlaps,
@@ -37,8 +36,7 @@ from cvconf.holevo import (
 )
 from cvconf.inference import posterior_table_batch, sign_posterior_table, \
     single_point_mi_batch
-from cvconf.protocol import ProtocolParams, eve_conditional_means, \
-    mean_coefficients, outcome_density, simulate_relay
+from cvconf.protocol import ProtocolParams, mean_coefficients
 from cvconf.rates import estimate_rates_mc, quadrature_cross_check, sweep_distance
 
 SEED = 0
@@ -152,22 +150,11 @@ class TestCriterion5PipelineOracle:
         max_rel = 0.0
         max_cov = 0.0
         for _ in range(1000):
-            params = ProtocolParams(
-                tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
-                sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-            )
-            signs = rng.choice([-1.0, 1.0], 3)
-            p_mags = np.abs(rng.normal(0.0, params.sigma))
-            q_mags = np.abs(rng.normal(0.0, params.sigma))
-            gamma = float(rng.normal(mean_coefficients(params) @ (signs * p_mags), 1.0))
-            result = simulate_relay(signs, q_mags, p_mags, params,
-                                    (rng.normal(), rng.normal(), gamma))
-            want = outcome_density(signs, p_mags, gamma, params)
-            max_rel = max(max_rel, abs(result.reconciled_likelihood - want) / want)
-            max_cov = max(max_cov, float(np.max(np.abs(result.eve_state.cov - np.eye(6)))))
-            for mode, (_, mp) in enumerate(eve_conditional_means(signs, p_mags, params)):
-                assert abs(result.eve_state.mean[2 * mode + 1] - mp) <= 1e-12
-            assert np.min(symplectic_eigenvalues(result.eve_state.cov)) >= 1 - 1e-9
+            rel, cov_dev, mean_dev, min_nu = pipeline_check(rng)
+            max_rel = max(max_rel, rel)
+            max_cov = max(max_cov, cov_dev)
+            assert mean_dev <= 1e-12
+            assert min_nu >= 1 - 1e-9
         ok = max_rel <= 1e-10 and max_cov <= 1e-12
         report(5, "pipeline oracle", ok,
                f"1000 draws, max relative density error {max_rel:.2e}, "

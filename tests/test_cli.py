@@ -1,13 +1,19 @@
 """Tests for the command-line front end."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
-from cvconf.cli import CSV_HEADER, ConfigError, RunConfig, build_config, main, make_parser
+from cvconf.cli import _KEYS, CSV_HEADER, ConfigError, RunConfig, build_config, main, \
+    make_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -55,11 +61,34 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="frobnicate"):
             build_config(make_parser().parse_args(["--config", str(path)]))
 
-    def test_malformed_value_is_named(self, tmp_path):
+    @pytest.mark.parametrize("key,text", [("samples", "lots"), ("sigma", "1,2"),
+                                          ("mode", "foo"), ("workers", "1.5")])
+    def test_malformed_value_is_named(self, tmp_path, key, text):
         path = tmp_path / "run.conf"
-        path.write_text("samples = lots\n")
-        with pytest.raises(ConfigError, match="samples"):
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=key):
             build_config(make_parser().parse_args(["--config", str(path)]))
+
+    def test_one_table_declares_every_key(self):
+        assert _KEYS.keys() == {f.name for f in fields(RunConfig)}
+
+    def test_every_flag_takes_raw_text(self):
+        for key in _KEYS:
+            args = make_parser().parse_args(["--" + key.replace("_", "-"), "x"])
+            assert getattr(args, key) == "x"
+
+    def test_grid_size_is_bounded(self):
+        assert len(RunConfig(d_max=9999.0).distance_grid()) == 10_000
+        RunConfig(d_max=9999.0).validate()
+        for config in (RunConfig(d_max=10_000.0), RunConfig(d_max=1e6, d_step=1e-3)):
+            with pytest.raises(ConfigError, match="d_step"):
+                config.validate()
+        RunConfig(d_max=1e6, d_step=1e-3, distances=(1.0,)).validate()
+
+    def test_largest_seed_is_accepted(self):
+        RunConfig(seed=2**64 - 1).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=2**64).validate()
 
     @pytest.mark.parametrize("argv,key", [
         (["--sigma", "1,2"], "sigma"),
@@ -78,11 +107,28 @@ class TestConfigHandling:
         (["--atten-db-km", "inf"], "atten_db_km"),
         (["--gamma", "nan"], "gamma"),
         (["--gamma=-inf"], "gamma"),
+        (["--samples", "lots"], "samples"),
+        (["--workers", "1.5"], "workers"),
+        (["--mode", "foo"], "mode"),
+        (["--convention", "x"], "convention"),
+        (["--format", "xml"], "format"),
+        (["--seed", "18446744073709551616"], "seed"),
+        (["--d-max", "1e300", "--d-step", "1e-300"], "d_step"),
+        (["--mags", "1,1,1", "--gamma", "1e200"], "gamma"),
+        (["--distances", "1", "--gamma", "1e155"], "gamma"),
+        (["--mags", "1e200,1,1"], "mags"),
     ])
     def test_invalid_flags_exit_with_diagnostic(self, argv, key, capsys):
-        code, _, err = run_cli(argv + ["--mode", "point", "--mags", "0,0,0"], capsys)
+        code, _, err = run_cli(["--mode", "point", "--mags", "0,0,0"] + argv, capsys)
         assert code == 2
         assert key.replace("_", "-") in err or key in err
+
+    def test_readme_lists_every_flag(self):
+        text = README.read_text(encoding="utf-8")
+        paragraph = text[text.index("\nFlags"):]
+        paragraph = paragraph[:paragraph.index("\n\n")]
+        flags = set(re.findall(r"--[a-z][a-z-]*", make_parser().format_help()))
+        assert sorted(f for f in flags if f not in paragraph) == []
 
     @pytest.mark.parametrize("mags", ["1,nan,1", "inf,1,1"])
     def test_non_finite_mags_are_named(self, mags, capsys):

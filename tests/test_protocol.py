@@ -157,6 +157,19 @@ class TestOneAnnouncement:
         with pytest.raises(ValueError, match="gamma must be finite"):
             view((1.0, 1.0, 1.0), gamma, p)
 
+    @pytest.mark.parametrize("view", [joint_density, sign_posterior_table, single_point_mi,
+                                      single_point_holevo, single_point_rate])
+    @pytest.mark.parametrize("mags,gamma", [((1, 1, 1), 1e200), ((0, 0, 0), 1e155),
+                                            ((1e200, 1, 1), 0.0), ((1e308, 1e308, 1), 0.0)])
+    def test_every_view_rejects_an_overflowing_announcement(self, view, mags, gamma):
+        p = ProtocolParams(tau=(0.9, 0.8, 0.7))
+        with pytest.raises(ValueError, match="gamma and mags are too large"):
+            view(mags, gamma, p)
+
+    def test_accepts_a_large_finite_spread(self):
+        mags, gamma = _one_announcement((0, 0, 0), 1e153)
+        assert gamma[0] == 1e153
+
 
 class TestJointDensity:
     def test_explicit_sum_at_zero_magnitudes(self):

@@ -162,6 +162,10 @@ class TestEstimateRatesMc:
             estimate_rates_mc(p, 0)
         with pytest.raises(ValueError, match="seed"):
             estimate_rates_mc(p, 10, seed=-1)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            estimate_rates_mc(p, 10, seed=2**64)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            sweep_distance(p, [0.0], 10, seed=2**64)
         for n_workers in (0, -5):
             with pytest.raises(ValueError, match="n_workers must be at least 1"):
                 estimate_rates_mc(p, 10, n_workers=n_workers)
