@@ -41,7 +41,7 @@ from .protocol import ProtocolParams, eve_conditional_means, mean_coefficients, 
     outcome_density, simulate_relay
 from .rates import _single_point_terms, sweep_distance
 
-__all__ = ["RunConfig", "ConfigError", "pipeline_check", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 CSV_HEADER = "distance_km,tau,rate_ps,rate_no_ps,stderr_ps,stderr_no_ps,n_samples,seed,convention"
 _MAX_GRID_POINTS = 10_000
@@ -85,9 +85,11 @@ class RunConfig:
             raise ConfigError("d_min: must be finite and non-negative")
         if not self.d_min <= self.d_max < math.inf:
             raise ConfigError("d_max: must be finite and at least d_min")
-        # distance_grid() makes round(steps) + 1 points: at most N below N - 0.5 steps.
+        # Below N + 1 steps the grid has at most N + 2 points, so it is cheap
+        # to build and count; at N + 1 steps or more it has more than N.
         if self.distances is None and not (
-                (self.d_max - self.d_min) / self.d_step < _MAX_GRID_POINTS - 0.5):
+                (self.d_max - self.d_min) / self.d_step < _MAX_GRID_POINTS + 1
+                and len(self.distance_grid()) <= _MAX_GRID_POINTS):
             raise ConfigError(f"d_step: the grid from d_min to d_max must have "
                               f"at most {_MAX_GRID_POINTS} points")
         if self.distances is not None and (len(self.distances) == 0 or not all(
@@ -199,10 +201,17 @@ def _sweep_records(config: RunConfig) -> list[dict]:
     points = sweep_distance(template, config.distance_grid(), config.samples,
                             seed=config.seed, n_workers=config.workers)
     return [
-        dict(zip(CSV_HEADER.split(","), (  # the values in CSV_HEADER's order
-            p.distance_km, p.tau, p.estimate.value, p.estimate_no_ps.value,
-            p.estimate.std_error, p.estimate_no_ps.std_error, p.estimate.n_samples,
-            config.seed, config.convention)))
+        {
+            "distance_km": p.distance_km,
+            "tau": p.tau,
+            "rate_ps": p.estimate.value,
+            "rate_no_ps": p.estimate_no_ps.value,
+            "stderr_ps": p.estimate.std_error,
+            "stderr_no_ps": p.estimate_no_ps.std_error,
+            "n_samples": p.estimate.n_samples,
+            "seed": config.seed,
+            "convention": config.convention,
+        }
         for p in points
     ]
 
@@ -251,7 +260,10 @@ def _write_output(text: str, config: RunConfig, stdout: io.TextIOBase) -> int:
 
 def _run_sweep(config: RunConfig, stdout: io.TextIOBase) -> int:
     records = _sweep_records(config)
-    text = _render_csv(records) if config.format == "csv" else _render_json(records, config)
+    if config.format == "csv":
+        text = _render_csv(records)
+    else:
+        text = _render_json(records, config)
     return _write_output(text, config, stdout)
 
 
@@ -269,7 +281,7 @@ def _run_point(config: RunConfig, stdout: io.TextIOBase) -> int:
     return 0
 
 
-def pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float]:
+def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float]:
     """One random relay run through the phase-space pipeline against the model.
 
     Returns the outcome density's relative error against the analytic one,
@@ -289,10 +301,10 @@ def pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float
                             (rng.normal(), rng.normal(), gamma))
     want = outcome_density(signs, p_mags, gamma, params)
     eve = result.eve_state
-    mean_dev = max(abs(eve.mean[2 * mode + 1] - mp) for mode, (_, mp)
-                   in enumerate(eve_conditional_means(signs, p_mags, params)))
+    want_p = np.array([mp for _, mp in eve_conditional_means(signs, p_mags, params)])
     return (abs(result.reconciled_likelihood - want) / want,
-            float(np.max(np.abs(eve.cov - np.eye(6)))), float(mean_dev),
+            float(np.max(np.abs(eve.cov - np.eye(6)))),
+            float(np.max(np.abs(eve.mean[1::2] - want_p))),
             float(np.min(symplectic_eigenvalues(eve.cov))))
 
 
@@ -300,7 +312,7 @@ def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int
     """Phase-space pipeline against the analytic density; returns (passed, total)."""
     passed = 0
     for _ in range(n_draws):
-        rel, cov_dev, mean_dev, min_nu = pipeline_check(rng)
+        rel, cov_dev, mean_dev, min_nu = _pipeline_check(rng)
         passed += (rel <= 1e-10 and cov_dev <= 1e-12 and mean_dev <= 1e-12
                    and min_nu >= 1.0 - 1e-9)
     return passed, n_draws

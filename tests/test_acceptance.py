@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from cvconf.cli import main as cli_main, pipeline_check
+from cvconf.cli import _pipeline_check, main as cli_main
 from cvconf.holevo import (
     assemble_total_state,
     eve_overlaps,
@@ -150,7 +150,7 @@ class TestCriterion5PipelineOracle:
         max_rel = 0.0
         max_cov = 0.0
         for _ in range(1000):
-            rel, cov_dev, mean_dev, min_nu = pipeline_check(rng)
+            rel, cov_dev, mean_dev, min_nu = _pipeline_check(rng)
             max_rel = max(max_rel, rel)
             max_cov = max(max_cov, cov_dev)
             assert mean_dev <= 1e-12

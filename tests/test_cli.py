@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+import cvconf.cli
 import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
-from cvconf.cli import _KEYS, CSV_HEADER, ConfigError, RunConfig, build_config, main, \
-    make_parser
+from cvconf.cli import _KEYS, CSV_HEADER, ConfigError, RunConfig, _pipeline_check, \
+    _validate_pipeline, build_config, main, make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -78,9 +81,11 @@ class TestConfigHandling:
             assert getattr(args, key) == "x"
 
     def test_grid_size_is_bounded(self):
-        assert len(RunConfig(d_max=9999.0).distance_grid()) == 10_000
-        RunConfig(d_max=9999.0).validate()
-        for config in (RunConfig(d_max=10_000.0), RunConfig(d_max=1e6, d_step=1e-3)):
+        for d_max in (9999.0, 9999.6):  # 9999.6 steps round up, then the last point is cut
+            assert len(RunConfig(d_max=d_max).distance_grid()) == 10_000
+            RunConfig(d_max=d_max).validate()
+        for config in (RunConfig(d_max=10_000.0), RunConfig(d_max=10_000.4),
+                       RunConfig(d_max=1e6, d_step=1e-3)):
             with pytest.raises(ConfigError, match="d_step"):
                 config.validate()
         RunConfig(d_max=1e6, d_step=1e-3, distances=(1.0,)).validate()
@@ -256,3 +261,16 @@ class TestValidateMode:
         assert "pipeline oracle: 1000/1000 passed" in out
         assert "spectrum oracle: 1000/1000 passed" in out
         assert "validation OK" in out
+
+    def test_nan_mean_in_a_later_mode_fails_the_pipeline_check(self, monkeypatch):
+        exact = cvconf.cli.eve_conditional_means
+
+        def nan_in_mode_2(signs, p_mags, params):
+            means = exact(signs, p_mags, params)
+            means[2] = (means[2][0], float("nan"))
+            return means
+
+        monkeypatch.setattr(cvconf.cli, "eve_conditional_means", nan_in_mode_2)
+        _, _, mean_dev, _ = _pipeline_check(np.random.default_rng(0))
+        assert not mean_dev <= 1e-12  # criterion 5's per-draw assert fails
+        assert _validate_pipeline(np.random.default_rng(0), 3) == (0, 3)
