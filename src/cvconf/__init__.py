@@ -22,7 +22,6 @@ from .gaussian import (
 )
 from .holevo import (
     EveDensityMatrix,
-    assemble_conditional_state,
     assemble_total_state,
     eve_overlaps,
     gram_oracle_entropy,
@@ -75,7 +74,6 @@ __all__ = [
     "EveDensityMatrix",
     "eve_overlaps",
     "assemble_total_state",
-    "assemble_conditional_state",
     "von_neumann_entropy",
     "gram_oracle_entropy",
     "single_point_holevo",

@@ -27,6 +27,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from .holevo import assemble_total_state, eve_overlaps, gram_oracle_entropy, \
 from .inference import sign_posterior_table
 from .protocol import ProtocolParams, eve_conditional_means, mean_coefficients, \
     outcome_density, simulate_relay
-from .rates import _single_point_terms, sweep_distance
+from .rates import MAX_SAMPLES, _single_point_terms, sweep_distance
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
@@ -74,8 +75,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in ("sweep", "point", "validate"):
             raise ConfigError(f"mode: must be sweep, point or validate, got {self.mode!r}")
-        if self.samples < 1:
-            raise ConfigError("samples: must be at least 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples: must be between 1 and {MAX_SAMPLES}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must be non-negative and below 2**64")
         # Every range check below is written so that NaN fails it.
@@ -155,7 +156,8 @@ _KEYS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat 'key = value' file; '#' starts a comment."""
+    """Parse a flat 'key = value' file; '#' at a line's start or after
+    whitespace starts a comment, so values may contain '#'."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -163,7 +165,7 @@ def load_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -54,15 +54,12 @@ from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcem
 __all__ = [
     "EveDensityMatrix",
     "eve_overlaps",
-    "eve_overlaps_batch",
     "overlap_deficits_batch",
     "assemble_total_state",
-    "assemble_conditional_state",
     "von_neumann_entropy",
     "gram_spectrum",
     "gram_oracle_entropy",
     "single_point_holevo",
-    "single_point_holevo_batch",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -117,10 +114,6 @@ class EveDensityMatrix:
             raise ValueError("density matrix must be 4x4 or 8x8")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def validate(self) -> np.ndarray:
         """Ascending eigenvalues; ValueError unless symmetric, unit trace and PSD."""
         m = self.matrix
@@ -154,12 +147,7 @@ def eve_overlaps(mags, params: ProtocolParams) -> np.ndarray:
     the taps are uncorrelated with the detector given signs and
     magnitudes.
     """
-    return eve_overlaps_batch(_check_mags(mags), params)
-
-
-def eve_overlaps_batch(mags: np.ndarray, params: ProtocolParams) -> np.ndarray:
-    """Vectorised :func:`eve_overlaps` for (n, 3) magnitude arrays."""
-    return np.exp(-_overlap_exponents(mags, params))
+    return np.exp(-_overlap_exponents(_check_mags(mags), params))
 
 
 def overlap_deficits_batch(mags: np.ndarray, params: ProtocolParams) -> np.ndarray:
@@ -212,27 +200,6 @@ def assemble_total_state(table: PosteriorTable, overlaps) -> EveDensityMatrix:
     if x.shape != (3,):
         raise ValueError("need one overlap per party")
     rho = _assemble_batch(table.probs[None, :], 1.0 - x[None, :], _BITS8, _PAR8)[0]
-    return EveDensityMatrix(rho)
-
-
-def assemble_conditional_state(table: PosteriorTable, overlaps, party,
-                               sign: int) -> EveDensityMatrix:
-    """The two remaining parties' state given one party's sign.
-
-    The conditioned party's own factor is pure and carries no entropy, so
-    only the 4x4 factor over the other two parties (in A, B, C order) is
-    returned.  A zero conditioning marginal falls back to the uniform
-    conditional, as in the Holevo core.
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    x_idx = _party_index(party)
-    x = np.asarray(overlaps, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("need one overlap per party")
-    _, cond = _condition(table.probs[None, :], x_idx)
-    rest = x[list(_OTHER_PARTIES[x_idx])]
-    rho = _assemble_batch(cond[:, (1 - sign) // 2], 1.0 - rest[None, :], _BITS4, _PAR4)[0]
     return EveDensityMatrix(rho)
 
 
@@ -359,16 +326,3 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
     averaged = terms[:, 0] + terms[:, 1]
     chi = total - averaged
     return chi, bound + bounds[:, 0] + bounds[:, 1] + 2.0 * _EPS * (total + averaged)
-
-
-def single_point_holevo_batch(tables: np.ndarray, overlaps: np.ndarray,
-                              party="A") -> np.ndarray:
-    """Vectorised :func:`single_point_holevo` over posterior tables.
-
-    Parameters
-    ----------
-    tables : ndarray, shape (n, 8)
-    overlaps : ndarray, shape (n, 3)
-    party : which party's sign the bound refers to
-    """
-    return _holevo_with_bound(tables, 1.0 - np.asarray(overlaps), party, 0.0)[0]

@@ -36,10 +36,9 @@ __all__ = [
     "posterior_table_batch",
     "posterior_rel_err",
     "single_point_mi",
-    "single_point_mi_batch",
 ]
 
-_PARTIES = {"A": 0, "B": 1, "C": 2, 0: 0, 1: 1, 2: 2}
+_PARTIES = {"A": 0, "B": 1, "C": 2}
 
 # Boolean masks over the table order: row t has party x positive iff
 # _POSITIVE[x][t].
@@ -123,10 +122,10 @@ def single_point_mi(mags, gamma: float, params: ProtocolParams,
     """Mutual information between two parties' signs given one announcement.
 
     Implements H(k_i) + H(k_j) - H(k_i, k_j) over the posterior, in bits;
-    the one-announcement view of :func:`single_point_mi_batch`.
+    the one-announcement view of the batched core, clipped to [0, 1].
     """
     table = sign_posterior_table(mags, gamma, params)
-    return float(single_point_mi_batch(table.probs[None, :], pair)[0])
+    return float(_mi_with_bound(table.probs[None, :], pair, 0.0)[0][0])
 
 
 def _eta(x: np.ndarray) -> np.ndarray:
@@ -153,12 +152,3 @@ def _mi_with_bound(tables: np.ndarray, pair, rel_err) -> tuple[np.ndarray, np.nd
     mi = np.clip(h_i + h_j - h_ij, 0.0, 1.0)
     bound = (rel_err + 8.0 * _EPS) * (6.0 + 3.0 * (h_i + h_j + h_ij))
     return mi, bound
-
-
-def single_point_mi_batch(tables: np.ndarray, pair=("A", "B")) -> np.ndarray:
-    """Vectorised :func:`single_point_mi` over precomputed posterior tables.
-
-    The exact value lies in [0, 1]; the return is clipped to that interval
-    to absorb float rounding.
-    """
-    return _mi_with_bound(tables, pair, 0.0)[0]

@@ -49,6 +49,7 @@ from .inference import single_point_mi  # noqa: F401
 
 __all__ = [
     "BLOCK_SIZE",
+    "MAX_SAMPLES",
     "RateEstimate",
     "SweepPoint",
     "single_point_rate",
@@ -62,6 +63,10 @@ __all__ = [
 # block b is generated from Philox key (seed, b), so changing this value
 # changes the sample stream (the worker count never does).
 BLOCK_SIZE = 1 << 16
+
+# Largest sample count per estimate: 2**18 blocks, so the block task list
+# stays small (days of CPU at ~1e5 samples/s per process).
+MAX_SAMPLES = 1 << 34
 
 _EPS = float(np.finfo(float).eps)
 
@@ -180,7 +185,7 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     ----------
     params : ProtocolParams
     n_samples : int
-        Total announcement samples (>= 1).
+        Total announcement samples, in [1, MAX_SAMPLES].
     seed : int
         Stream seed in [0, 2**64); together with the sample index it fully
         determines each sample's randomness.
@@ -201,6 +206,8 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if seed >= 2**64:

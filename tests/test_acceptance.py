@@ -29,15 +29,13 @@ from cvconf.cli import _pipeline_check, main as cli_main
 from cvconf.holevo import (
     assemble_total_state,
     eve_overlaps,
-    eve_overlaps_batch,
     gram_oracle_entropy,
-    single_point_holevo_batch,
     von_neumann_entropy,
 )
-from cvconf.inference import posterior_table_batch, sign_posterior_table, \
-    single_point_mi_batch
+from cvconf.inference import sign_posterior_table
 from cvconf.protocol import ProtocolParams, mean_coefficients
-from cvconf.rates import estimate_rates_mc, quadrature_cross_check, sweep_distance
+from cvconf.rates import _rate_terms, estimate_rates_mc, quadrature_cross_check, \
+    sweep_distance
 
 SEED = 0
 N_WORKERS = 2
@@ -170,9 +168,7 @@ class TestCriterion6LimitSuite:
         params_lossless = ProtocolParams(tau=(1.0, 1.0, 1.0))
         mags = np.abs(rng.normal(0.0, 1.0, size=(10_000, 3)))
         gamma = rng.normal(0.0, 2.0, size=10_000)
-        tables = posterior_table_batch(mags, gamma, params_lossless)
-        chi_lossless = single_point_holevo_batch(
-            tables, eve_overlaps_batch(mags, params_lossless))
+        _, chi_lossless, _ = _rate_terms(mags, gamma, params_lossless)
         chi_lossless_ok = bool(np.max(np.abs(chi_lossless)) <= 1e-12)
 
         # Zero magnitudes: both information quantities vanish.
@@ -181,10 +177,9 @@ class TestCriterion6LimitSuite:
             params = ProtocolParams(tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12))
             g = rng.normal(0.0, 2.0, size=100)
             zero_mags = np.zeros((100, 3))
-            t = posterior_table_batch(zero_mags, g, params)
-            zero_ok &= bool(np.max(single_point_mi_batch(t)) <= 1e-12)
-            zero_ok &= bool(np.max(np.abs(single_point_holevo_batch(
-                t, eve_overlaps_batch(zero_mags, params)))) <= 1e-12)
+            mi, chi, _ = _rate_terms(zero_mags, g, params)
+            zero_ok &= bool(np.max(mi) <= 1e-12)
+            zero_ok &= bool(np.max(np.abs(chi)) <= 1e-12)
 
         # Bounds over 1e5 random draws.
         mi_lo = chi_lo = np.inf
@@ -198,9 +193,7 @@ class TestCriterion6LimitSuite:
             signs = rng.choice([-1.0, 1.0], size=(1000, 3))
             means = (signs * m) @ mean_coefficients(params)
             g = rng.normal(means, 1.0)
-            t = posterior_table_batch(m, g, params)
-            mi = single_point_mi_batch(t)
-            chi = single_point_holevo_batch(t, eve_overlaps_batch(m, params))
+            mi, chi, _ = _rate_terms(m, g, params)
             mi_lo, mi_hi = min(mi_lo, mi.min()), max(mi_hi, mi.max())
             chi_lo, chi_hi = min(chi_lo, chi.min()), max(chi_hi, chi.max())
         bounds_ok = (mi_lo >= 0.0 and mi_hi <= 1.0

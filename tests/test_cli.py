@@ -53,10 +53,13 @@ class TestConfigHandling:
 
     def test_config_file_comments_and_dashes(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("# comment\nd-min = 1.0  # trailing\n\nd-max = 2.0\n")
+        path.write_text("# comment\nd-min = 1.0  # trailing\n\nd-max = 2.0\n"
+                        "out = run#1.csv\nseed = 3  # note\n")
         config = build_config(make_parser().parse_args(["--config", str(path)]))
         assert config.d_min == 1.0
         assert config.d_max == 2.0
+        assert config.out == "run#1.csv"  # a '#' inside a value is kept
+        assert config.seed == 3
 
     def test_unknown_config_key_is_named(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -122,6 +125,7 @@ class TestConfigHandling:
         (["--mags", "1,1,1", "--gamma", "1e200"], "gamma"),
         (["--distances", "1", "--gamma", "1e155"], "gamma"),
         (["--mags", "1e200,1,1"], "mags"),
+        (["--samples", "1000000000000000000000000000000"], "samples"),
     ])
     def test_invalid_flags_exit_with_diagnostic(self, argv, key, capsys):
         code, _, err = run_cli(["--mode", "point", "--mags", "0,0,0"] + argv, capsys)

@@ -8,21 +8,24 @@ import pytest
 from cvconf.gaussian import make_coherent_product, overlap_trace, pure_loss_tap
 import cvconf.holevo
 from cvconf.holevo import (
+    _BITS4,
+    _OTHER_PARTIES,
+    _PAR4,
     EveDensityMatrix,
+    _assemble_batch,
     _coefficient_vectors,
+    _condition,
     _holevo_with_bound,
-    assemble_conditional_state,
     assemble_total_state,
     eve_overlaps,
-    eve_overlaps_batch,
     gram_oracle_entropy,
     overlap_deficits_batch,
     single_point_holevo,
-    single_point_holevo_batch,
     von_neumann_entropy,
 )
 from cvconf.inference import PosteriorTable, posterior_table_batch, sign_posterior_table
 from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients
+from cvconf.rates import _rate_terms
 
 
 def random_params(rng, **overrides):
@@ -80,12 +83,13 @@ class TestEveOverlaps:
         assert np.allclose(am ** 2, tr, atol=1e-14)
 
     def test_batch_matches_scalar(self):
+        """The rate core's batched deficits are 1 - X of the one-announcement overlaps."""
         rng = np.random.default_rng(32)
         p = random_params(rng)
         mags = np.abs(rng.normal(0, 1.5, size=(20, 3)))
-        batch = eve_overlaps_batch(mags, p)
+        batch = overlap_deficits_batch(mags, p)
         for k in range(20):
-            assert np.allclose(batch[k], eve_overlaps(mags[k], p), atol=1e-15)
+            assert np.allclose(1.0 - batch[k], eve_overlaps(mags[k], p), atol=1e-15)
 
 
 def coefficient_moduli(overlap):
@@ -156,23 +160,32 @@ class TestAssembleTotalState:
             assert np.max(np.abs(constructed - oracle)) <= 1e-10
 
 
+def conditional_state(table, overlaps, party, sign):
+    """The 4x4 state conditioned on one party's sign, as the Holevo core
+    assembles it (its marginal split, then the remaining parties' overlaps)."""
+    x = "ABC".index(party)
+    _, cond = _condition(table.probs[None, :], x)
+    rest = 1.0 - np.asarray(overlaps, dtype=float)[list(_OTHER_PARTIES[x])]
+    return EveDensityMatrix(_assemble_batch(cond[0, 0 if sign == 1 else 1], rest, _BITS4, _PAR4))
+
+
 class TestAssembleConditionalState:
     def test_uniform_orthogonal(self):
         table = PosteriorTable(np.full(8, 0.125))
-        rho = assemble_conditional_state(table, (0.5, 0.0, 0.0), "A", 1)
+        rho = conditional_state(table, (0.5, 0.0, 0.0), "A", 1)
         assert np.allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-14)
         assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_remaining_overlaps_are_pure(self):
         rng = np.random.default_rng(36)
         table = PosteriorTable(rng.dirichlet(np.ones(8)))
-        rho = assemble_conditional_state(table, (0.3, 1.0, 1.0), "A", -1)
+        rho = conditional_state(table, (0.3, 1.0, 1.0), "A", -1)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_marginal_falls_back_to_uniform(self):
         probs = np.zeros(8)
         probs[:4] = 0.25  # A never +1
-        rho = assemble_conditional_state(PosteriorTable(probs), (0.5, 0.0, 0.0), "A", 1)
+        rho = conditional_state(PosteriorTable(probs), (0.5, 0.0, 0.0), "A", 1)
         assert np.allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-14)
 
     def test_entropy_matches_four_dim_gram_oracle(self):
@@ -189,7 +202,7 @@ class TestAssembleConditionalState:
                     marg = table.probs[mask].sum()
                     if marg <= 0:
                         continue
-                    rho = assemble_conditional_state(table, overlaps, party, sign)
+                    rho = conditional_state(table, overlaps, party, sign)
                     want = gram_oracle_entropy(table.probs[mask] / marg,
                                                overlaps[list(others)])
                     assert von_neumann_entropy(rho) == pytest.approx(want, abs=1e-9)
@@ -308,24 +321,41 @@ class TestSinglePointHolevo:
         assert 0.0 < chi < 1.0
         assert chi == pytest.approx(0.7211412974922284, abs=1e-11)
 
+    @staticmethod
+    def gram_holevo(table, overlaps, x):
+        """chi on party x's sign with both terms from the Gram oracle."""
+        others = [y for y in range(3) if y != x]
+        s_cond = 0.0
+        for sign in (1, -1):
+            mask = SIGN_PATTERNS[:, x] == sign
+            marg = table.probs[mask].sum()
+            if marg > 0:
+                s_cond += marg * gram_oracle_entropy(
+                    table.probs[mask] / marg, overlaps[others])
+        return gram_oracle_entropy(table.probs, overlaps) - s_cond
+
     def test_equals_gram_oracle_composition(self):
-        """Both Holevo terms evaluated through the independent Gram route."""
+        """Both Holevo terms, for every party, evaluated through the
+        independent Gram route: the 8x8 and each party's 4x4 states."""
         rng = np.random.default_rng(39)
         for _ in range(50):
             p = random_params(rng)
             mags, gamma = random_announcement(rng, p)
             table = sign_posterior_table(mags, gamma, p)
             overlaps = eve_overlaps(mags, p)
-            s_tot = gram_oracle_entropy(table.probs, overlaps)
-            s_cond = 0.0
-            for sign in (1, -1):
-                mask = SIGN_PATTERNS[:, 0] == sign
-                marg = table.probs[mask].sum()
-                if marg > 0:
-                    s_cond += marg * gram_oracle_entropy(
-                        table.probs[mask] / marg, overlaps[1:])
-            want = s_tot - s_cond
-            assert single_point_holevo(mags, gamma, p) == pytest.approx(want, abs=1e-9)
+            for x, party in enumerate("ABC"):
+                assert single_point_holevo(mags, gamma, p, party) == pytest.approx(
+                    self.gram_holevo(table, overlaps, x), abs=1e-9)
+        # Unit remaining overlaps: A's conditional states are pure, so chi(A)
+        # is the total entropy alone.
+        p = ProtocolParams(tau=(0.3, 1.0, 1.0))
+        mags, gamma = np.array([1.5, 0.7, 1.2]), 0.4
+        table = sign_posterior_table(mags, gamma, p)
+        overlaps = eve_overlaps(mags, p)
+        s_tot = gram_oracle_entropy(table.probs, overlaps)
+        assert s_tot > 0.01
+        assert self.gram_holevo(table, overlaps, 0) == pytest.approx(s_tot, abs=1e-12)
+        assert single_point_holevo(mags, gamma, p) == pytest.approx(s_tot, abs=1e-9)
 
     def test_bounds_and_subadditivity_direction(self):
         rng = np.random.default_rng(40)
@@ -333,8 +363,7 @@ class TestSinglePointHolevo:
         mags = np.abs(rng.normal(0, p.sigma, size=(10_000, 3)))
         means = (mags * mean_coefficients(p)) @ SIGN_PATTERNS.T
         gamma = rng.normal(means[:, 0], 1.0)
-        tables = posterior_table_batch(mags, gamma, p)
-        chi = single_point_holevo_batch(tables, eve_overlaps_batch(mags, p))
+        _, chi, _ = _rate_terms(mags, gamma, p)
         assert np.all(chi >= -1e-9)
         assert np.all(chi <= 1.0 + 1e-9)
 
@@ -365,7 +394,7 @@ class TestSinglePointHolevo:
         mags = np.abs(rng.normal(0, p.sigma, size=(50, 3)))
         gamma = rng.normal(0, 2, 50)
         tables = posterior_table_batch(mags, gamma, p)
-        batch = single_point_holevo_batch(tables, eve_overlaps_batch(mags, p))
+        batch = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), "A", 0.0)[0]
         for k in range(50):
             assert batch[k] == pytest.approx(
                 single_point_holevo(mags[k], gamma[k], p), abs=1e-11)
@@ -407,8 +436,8 @@ class TestSinglePointHolevo:
 
     @pytest.mark.parametrize("convention", ["trace", "amplitude"])
     def test_exactly_zero_at_unit_transmissivity(self, convention, monkeypatch):
-        """At tau = 1 no state is assembled and the one-announcement view
-        gives the batch's exact 0."""
+        """At tau = 1 no state is assembled: the one-announcement view and
+        the rate core over a batch both give exactly 0."""
         def refuse(*args):
             raise AssertionError("a state was assembled")
 
@@ -420,8 +449,7 @@ class TestSinglePointHolevo:
         gamma = rng.normal(0.0, 2.0, 100)
         for m, g in zip(mags, gamma):
             assert single_point_holevo(m, g, p) == 0.0
-        tables = posterior_table_batch(mags, gamma, p)
-        assert np.all(single_point_holevo_batch(tables, eve_overlaps_batch(mags, p)) == 0.0)
+        assert np.all(_rate_terms(mags, gamma, p)[1] == 0.0)
 
     def test_party_choice_is_respected(self):
         p = ProtocolParams(tau=(0.4, 0.9, 0.9))
@@ -435,10 +463,6 @@ class TestEveDensityMatrixType:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4 or 8x8"):
             EveDensityMatrix(np.eye(3) / 3.0)
-
-    def test_dim(self):
-        assert EveDensityMatrix(np.eye(4) / 4.0).dim == 4
-        assert EveDensityMatrix(np.eye(8) / 8.0).dim == 8
 
 
 class TestExactZeros:

@@ -12,7 +12,6 @@ from cvconf.inference import (
     posterior_table_batch,
     sign_posterior_table,
     single_point_mi,
-    single_point_mi_batch,
 )
 from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients
 
@@ -120,6 +119,7 @@ class TestMarginalsAndConditionals:
             marginal, cond = conditioned(probs, party)
             assert marginal[0] == 1.0 and marginal[1] == 0.0
             assert list(cond[0]) == [0.0, 0.0, 0.0, 1.0]
+            assert list(cond[1]) == [0.25] * 4  # zero marginal: uniform fallback
 
     def test_marginal_matches_brute_force(self):
         rng = np.random.default_rng(23)
@@ -239,7 +239,7 @@ class TestSinglePointMi:
         means = (mags * mean_coefficients(p)) @ SIGN_PATTERNS.T
         gamma = rng.normal(means[:, 0], 1.0)
         tables = posterior_table_batch(mags, gamma, p)
-        mi = single_point_mi_batch(tables)
+        mi = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
         assert np.all(mi >= 0.0) and np.all(mi <= 1.0)
 
     def test_pair_symmetry(self):
@@ -282,7 +282,7 @@ class TestSinglePointMi:
         mix = np.exp(-0.5 * (gammas[:, None] - means) ** 2).sum(axis=1) \
             / (8.0 * math.sqrt(2 * math.pi))
         tables = posterior_table_batch(np.tile(mags, (gammas.size, 1)), gammas, p)
-        mi = single_point_mi_batch(tables)
+        mi = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
         avg = np.trapezoid(mix * mi, gammas) / np.trapezoid(mix, gammas)
         assert -1e-6 <= avg <= 1.0 + 1e-6
 
@@ -292,7 +292,7 @@ class TestSinglePointMi:
         mags = np.abs(rng.normal(0, p.sigma, size=(50, 3)))
         gamma = rng.normal(0, 2, 50)
         tables = posterior_table_batch(mags, gamma, p)
-        batch = single_point_mi_batch(tables)
+        batch = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
         for k in range(50):
             assert batch[k] == pytest.approx(
                 single_point_mi(mags[k], gamma[k], p), abs=1e-13)

@@ -14,6 +14,7 @@ from cvconf.protocol import CASCADE_T1, CASCADE_T2, ProtocolParams, mean_coeffic
     transmissivity_from_distance
 from cvconf.rates import (
     BLOCK_SIZE,
+    MAX_SAMPLES,
     certified_rates,
     estimate_rates_mc,
     quadrature_cross_check,
@@ -158,8 +159,9 @@ class TestEstimateRatesMc:
 
     def test_rejects_bad_arguments(self):
         p = ProtocolParams(tau=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="n_samples"):
-            estimate_rates_mc(p, 0)
+        for n_samples in (0, MAX_SAMPLES + 1):
+            with pytest.raises(ValueError, match="n_samples"):
+                estimate_rates_mc(p, n_samples)
         with pytest.raises(ValueError, match="seed"):
             estimate_rates_mc(p, 10, seed=-1)
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):

@@ -19,6 +19,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_imports():
+    """Every imported name is used or listed in ``__all__``, so a deletion
+    leaves no stale import behind.  An import on a line marked
+    ``# noqa: F401`` is kept on purpose and skipped."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                       for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
+
+
 def test_every_export_resolves():
     """A deleted or renamed name leaves no stale entry in any ``__all__``."""
     modules = [cvconf] + [importlib.import_module(f"cvconf.{path.stem}")
