@@ -37,7 +37,6 @@ from .protocol import (
     ProtocolParams,
     RelayResult,
     eve_conditional_means,
-    joint_density,
     mean_coefficients,
     outcome_density,
     simulate_relay,
@@ -65,7 +64,6 @@ __all__ = [
     "transmissivity_from_distance",
     "mean_coefficients",
     "outcome_density",
-    "joint_density",
     "eve_conditional_means",
     "simulate_relay",
     "PosteriorTable",

@@ -9,9 +9,9 @@ Three modes:
     The single-point mutual information, Holevo bound and rate at a
     user-supplied announcement (magnitudes and outcome).
 ``validate``
-    The built-in oracle suites: the phase-space pipeline against the
-    analytic outcome density, and the Gram spectrum against the
-    constructed density matrices.
+    The built-in oracle suites, on the draws of acceptance criteria 5 and
+    4: the phase-space pipeline against the analytic outcome density, and
+    the Gram spectrum against the constructed density matrices.
 
 Options may also be given in a flat ``key = value`` config file; explicit
 flags take precedence over the file, which takes precedence over the
@@ -27,6 +27,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -73,6 +74,12 @@ class RunConfig:
     gamma: float = 0.0
 
     def validate(self) -> None:
+        for key in ("samples", "seed", "workers"):
+            value = getattr(self, key)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
         if self.mode not in ("sweep", "point", "validate"):
             raise ConfigError(f"mode: must be sweep, point or validate, got {self.mode!r}")
         if not 1 <= self.samples <= MAX_SAMPLES:
@@ -320,26 +327,35 @@ def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int
     return passed, n_draws
 
 
+def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, float]:
+    """One random announcement's constructed density matrix against the Gram oracle.
+
+    Returns the largest deviation of the constructed total state's spectrum
+    from the Gram spectrum, and of its entropy from the Gram entropy.
+    Acceptance criterion 4 draws from here.
+    """
+    params = ProtocolParams(
+        tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
+        sigma=tuple(rng.uniform(0.2, 3.0, 3)),
+        overlap_convention=convention,
+    )
+    mags = np.abs(rng.normal(0.0, params.sigma))
+    signs = rng.choice([-1.0, 1.0], 3)
+    gamma = float(rng.normal(mean_coefficients(params) @ (signs * mags), 1.0))
+    table = sign_posterior_table(mags, gamma, params)
+    overlaps = eve_overlaps(mags, params)
+    rho = assemble_total_state(table, overlaps)
+    constructed = np.linalg.eigvalsh(rho.matrix)
+    return (float(np.max(np.abs(constructed - gram_spectrum(table.probs, overlaps)))),
+            abs(von_neumann_entropy(rho) - gram_oracle_entropy(table.probs, overlaps)))
+
+
 def _validate_spectrum(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
-    """Constructed density matrix against the Gram oracle; returns (passed, total)."""
+    """Spectrum checks, the two conventions in turn; returns (passed, total)."""
     passed = 0
-    for _ in range(n_draws):
-        params = ProtocolParams(
-            tau=tuple(rng.uniform(0.05, 1.0, 3)),
-            sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-            overlap_convention=rng.choice(["trace", "amplitude"]),
-        )
-        mags = np.abs(rng.normal(0.0, params.sigma))
-        gamma = float(rng.normal(0.0, 2.0))
-        table = sign_posterior_table(mags, gamma, params)
-        overlaps = eve_overlaps(mags, params)
-        rho = assemble_total_state(table, overlaps)
-        constructed = np.linalg.eigvalsh(rho.matrix)
-        oracle = gram_spectrum(table.probs, overlaps)
-        ok = bool(np.max(np.abs(constructed - oracle)) <= 1e-10)
-        ok &= abs(von_neumann_entropy(rho)
-                  - gram_oracle_entropy(table.probs, overlaps)) <= 1e-9
-        passed += int(ok)
+    for k in range(n_draws):
+        eig_dev, ent_dev = _spectrum_check(rng, ("trace", "amplitude")[k % 2])
+        passed += eig_dev <= 1e-10 and ent_dev <= 1e-9
     return passed, n_draws
 
 

@@ -29,6 +29,9 @@ __all__ = [
     "symplectic_eigenvalues",
 ]
 
+# Largest entry-wise covariance difference overlap_trace accepts as equal.
+_COV_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -196,8 +199,7 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str,
     return GaussianState(mean, cov), likelihood
 
 
-def overlap_trace(state_a: GaussianState, state_b: GaussianState,
-                  cov_tol: float = 1e-10) -> float:
+def overlap_trace(state_a: GaussianState, state_b: GaussianState) -> float:
     """Trace overlap Tr(rho_a rho_b) of two Gaussian states with equal covariance.
 
     Evaluates exp(-1/4 d^T V^{-1} d) with d the mean difference.  For
@@ -205,8 +207,8 @@ def overlap_trace(state_a: GaussianState, state_b: GaussianState,
     """
     if state_a.n_modes != state_b.n_modes:
         raise ValueError("states must have the same number of modes")
-    if not np.allclose(state_a.cov, state_b.cov, rtol=0.0, atol=cov_tol):
-        raise ValueError(f"covariance matrices differ beyond {cov_tol}")
+    if not np.allclose(state_a.cov, state_b.cov, rtol=0.0, atol=_COV_TOL):
+        raise ValueError(f"covariance matrices differ beyond {_COV_TOL}")
     d = state_a.mean - state_b.mean
     return float(math.exp(-0.25 * d @ np.linalg.solve(state_a.cov, d)))
 

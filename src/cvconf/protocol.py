@@ -32,7 +32,6 @@ __all__ = [
     "transmissivity_from_distance",
     "mean_coefficients",
     "outcome_density",
-    "joint_density",
     "eve_conditional_means",
     "simulate_relay",
 ]
@@ -105,7 +104,6 @@ class ProtocolParams:
 class RelayResult:
     """Outcome of one phase-space run of the relay pipeline."""
 
-    joint_likelihood: float
     likelihoods: tuple[float, float, float]
     eve_state: GaussianState
 
@@ -177,23 +175,12 @@ def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:
     return math.exp(-0.5 * (gamma - mean) ** 2) / _SQRT_2PI
 
 
-def joint_density(mags, gamma: float, params: ProtocolParams) -> float:
-    """Joint density of the announced magnitudes and the reconciled outcome.
-
-    Sums the outcome density over the eight equally-likely sign triples,
-    weighting each party by its sign-magnitude density: a zero-mean normal
-    of deviation sigma_i evaluated at mag_i (equivalently, the half sign
-    probability times the half-normal magnitude density).  The
-    one-announcement view of :func:`_joint_density_factors`.
-    """
-    outcome, mag_density = _joint_density_factors(*_one_announcement(mags, gamma), params)
-    return float(outcome[0] * mag_density[0])
-
-
 def _joint_density_factors(mags: np.ndarray, gamma: np.ndarray,
                            params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """The outcome and magnitude factors of :func:`joint_density`, for (n, 3)
-    magnitudes and (n,) outcomes, apart: the quadrature weights them in order."""
+    """Joint density of (n, 3) magnitudes and (n,) outcomes as two factors, kept
+    apart because the quadrature weights them in order: the outcome density
+    summed over the eight equally-likely sign triples, and the product over
+    parties of a zero-mean normal of deviation sigma_i at mag_i."""
     sigma = np.asarray(params.sigma)
     means = (mags * mean_coefficients(params)) @ SIGN_PATTERNS.T
     outcome = np.exp(-0.5 * (gamma[:, None] - means) ** 2).sum(axis=1) / _SQRT_2PI
@@ -236,8 +223,8 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
     Returns
     -------
     RelayResult
-        Joint outcome likelihood, the per-measurement likelihoods, and the
-        eavesdropper's conditioned three-mode state (modes A, B, C).
+        The per-measurement likelihoods and the eavesdropper's conditioned
+        three-mode state (modes A, B, C).
     """
     s = _check_signs(signs)
     qm = _check_mags(q_mags)
@@ -262,8 +249,4 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
     state, lik = homodyne_condition(state, 0, "p", outs[2])
     liks.append(lik)
 
-    return RelayResult(
-        joint_likelihood=float(np.prod(liks)),
-        likelihoods=tuple(liks),
-        eve_state=state,
-    )
+    return RelayResult(likelihoods=tuple(liks), eve_state=state)

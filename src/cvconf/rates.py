@@ -34,6 +34,8 @@ estimator.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -177,6 +179,32 @@ def _estimate_from_sums(total: float, total_sq: float, n: int, method: str) -> R
     return RateEstimate(mean, std_error, n, method)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float or other non-integer raises ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_mc_arguments(n_samples, seed, n_workers) -> tuple[int, int, int]:
+    """The Monte-Carlo arguments as ints; one out of range raises ValueError naming it."""
+    n_samples = _integer(n_samples, "n_samples")
+    seed = _integer(seed, "seed")
+    n_workers = _integer(n_workers, "n_workers")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if seed >= 2**64:
+        raise ValueError("seed must be below 2**64")
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
+    return n_samples, seed, n_workers
+
+
 def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
                       n_workers: int = 1) -> tuple[RateEstimate, RateEstimate]:
     """Monte-Carlo estimates of the raw and post-selected rates of I(A:B) - chi(A).
@@ -190,8 +218,8 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         Stream seed in [0, 2**64); together with the sample index it fully
         determines each sample's randomness.
     n_workers : int
-        Blocks are evaluated in min(n_workers, blocks) processes when that
-        is > 1; the result is bit-identical for every value.
+        Blocks are evaluated in min(n_workers, blocks, CPUs) processes when
+        that is > 1; the result is bit-identical for every value.
 
     Returns
     -------
@@ -204,22 +232,13 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         transmissivity, 2**17 samples, where chi is exactly 0 and only the
         information's rounding bound is left).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if n_samples > MAX_SAMPLES:
-        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if seed >= 2**64:
-        raise ValueError("seed must be below 2**64")
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
+    n_samples, seed, n_workers = _check_mc_arguments(n_samples, seed, n_workers)
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     tasks = [
         (seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), params)
         for b in range(n_blocks)
     ]
-    n_processes = min(n_workers, n_blocks)
+    n_processes = min(n_workers, n_blocks, os.cpu_count() or 1)
     if n_processes > 1:
         with ProcessPoolExecutor(max_workers=n_processes) as pool:
             block_sums = list(pool.map(_mc_block, tasks, chunksize=1))
@@ -301,8 +320,10 @@ def sweep_distance(params_template: ProtocolParams, distances, n_samples: int,
 
     Every distance reuses the same seed, so adjacent points share their
     announcement randomness (common random numbers) and the sweep is
-    deterministic given (seed, n_samples).
+    deterministic given (seed, n_samples).  The arguments are checked
+    before any distance, so an empty grid rejects bad ones too.
     """
+    _check_mc_arguments(n_samples, seed, n_workers)
     points = []
     for d in distances:
         params = params_template.at_distance(float(d))

@@ -25,14 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from cvconf.cli import _pipeline_check, main as cli_main
-from cvconf.holevo import (
-    assemble_total_state,
-    eve_overlaps,
-    gram_oracle_entropy,
-    von_neumann_entropy,
-)
-from cvconf.inference import sign_posterior_table
+from cvconf.cli import _pipeline_check, _spectrum_check, main as cli_main
 from cvconf.protocol import ProtocolParams, mean_coefficients
 from cvconf.rates import _rate_terms, estimate_rates_mc, quadrature_cross_check, \
     sweep_distance
@@ -110,31 +103,8 @@ class TestCriterion3MonotoneSweep:
 class TestCriterion4SpectrumOracle:
     def test_constructed_spectrum_matches_gram(self):
         rng = np.random.default_rng(SEED)
-        max_eig_dev = 0.0
-        max_ent_dev = 0.0
-        for k in range(1000):
-            params = ProtocolParams(
-                tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
-                sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-                overlap_convention="trace" if k % 2 == 0 else "amplitude",
-            )
-            mags = np.abs(rng.normal(0.0, params.sigma))
-            signs = rng.choice([-1.0, 1.0], 3)
-            gamma = float(rng.normal(mean_coefficients(params) @ (signs * mags), 1.0))
-            table = sign_posterior_table(mags, gamma, params)
-            overlaps = eve_overlaps(mags, params)
-
-            rho = assemble_total_state(table, overlaps)
-            constructed = np.linalg.eigvalsh(rho.matrix)
-            gram = np.array([[1.0]])
-            for x in overlaps:
-                gram = np.kron(gram, np.array([[1.0, x], [x, 1.0]]))
-            root = np.sqrt(table.probs)
-            oracle_eigs = np.linalg.eigvalsh(gram * np.outer(root, root))
-
-            max_eig_dev = max(max_eig_dev, float(np.max(np.abs(constructed - oracle_eigs))))
-            max_ent_dev = max(max_ent_dev, abs(
-                von_neumann_entropy(rho) - gram_oracle_entropy(table.probs, overlaps)))
+        max_eig_dev, max_ent_dev = np.max(
+            [_spectrum_check(rng, ("trace", "amplitude")[k % 2]) for k in range(1000)], axis=0)
         ok = max_eig_dev <= 1e-10 and max_ent_dev <= 1e-9
         report(4, "spectrum oracle", ok,
                f"1000 draws, max eigenvalue dev {max_eig_dev:.2e}, "

@@ -1,10 +1,13 @@
-"""The names the benchmark's span tracer wraps must exist in the package.
+"""The names the benchmark wraps or calls must exist in the package.
 
 ``perfbench/spans.py`` replaces module attributes of ``cvconf`` by name
-when a run is traced.  A name that a simplification deletes or renames
-would otherwise surface only as a failing traced benchmark run.
+when a run is traced, and ``perfbench/workloads.py`` and ``perfbench/run.py``
+call package functions directly.  A name that a simplification deletes or
+renames would otherwise surface only as a failing benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 
 import cvconf.rates
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +36,25 @@ def test_every_wrapped_entry_point_resolves(spans):
 
 def test_rates_pool_is_a_module_attribute(spans):
     assert issubclass(spans.TracedPool, cvconf.rates.ProcessPoolExecutor)
+
+
+def _package_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) of every ``cvconf.<module>.<name>`` chain and every
+    ``from cvconf.<module> import <name>`` in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name) and node.value.value.id == "cvconf"):
+            names.add((node.value.attr, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cvconf."):
+            names.update((node.module.removeprefix("cvconf."), a.name) for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "run.py"])
+def test_every_direct_call_resolves(script):
+    names = _package_names(PERFBENCH / script)
+    assert names, f"no cvconf names found in {script}"
+    missing = [f"cvconf.{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"cvconf.{module}"), name)]
+    assert missing == []

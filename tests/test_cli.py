@@ -14,7 +14,7 @@ import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
 from cvconf.cli import _KEYS, CSV_HEADER, ConfigError, RunConfig, _pipeline_check, \
-    _validate_pipeline, build_config, main, make_parser
+    _validate_pipeline, _validate_spectrum, build_config, main, make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -92,6 +92,13 @@ class TestConfigHandling:
             with pytest.raises(ConfigError, match="d_step"):
                 config.validate()
         RunConfig(d_max=1e6, d_step=1e-3, distances=(1.0,)).validate()
+
+    @pytest.mark.parametrize("key,value", [("seed", 1.5), ("samples", 1000.5),
+                                           ("workers", 2.0)])
+    def test_non_integer_count_is_named(self, key, value):
+        """A library caller's float is refused, not truncated or left to numpy."""
+        with pytest.raises(ConfigError, match=f"{key}: must be an integer"):
+            RunConfig(**{key: value}).validate()
 
     def test_largest_seed_is_accepted(self):
         RunConfig(seed=2**64 - 1).validate()
@@ -278,3 +285,24 @@ class TestValidateMode:
         _, _, mean_dev, _ = _pipeline_check(np.random.default_rng(0))
         assert not mean_dev <= 1e-12  # criterion 5's per-draw assert fails
         assert _validate_pipeline(np.random.default_rng(0), 3) == (0, 3)
+
+    def test_shifted_gram_spectrum_fails_the_spectrum_check(self, monkeypatch):
+        exact = cvconf.cli.gram_spectrum
+        monkeypatch.setattr(cvconf.cli, "gram_spectrum", lambda w, x: exact(w, x) + 1e-9)
+        assert _validate_spectrum(np.random.default_rng(0), 3) == (0, 3)
+
+    def test_shifted_gram_entropy_fails_the_spectrum_check(self, monkeypatch):
+        exact = cvconf.cli.gram_oracle_entropy
+        monkeypatch.setattr(cvconf.cli, "gram_oracle_entropy", lambda w, x: exact(w, x) + 1e-8)
+        assert _validate_spectrum(np.random.default_rng(0), 3) == (0, 3)
+
+    def test_spectrum_suite_alternates_conventions(self, monkeypatch):
+        seen = []
+
+        def record(rng, convention):
+            seen.append(convention)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(cvconf.cli, "_spectrum_check", record)
+        assert _validate_spectrum(np.random.default_rng(0), 4) == (4, 4)
+        assert seen == ["trace", "amplitude", "trace", "amplitude"]

@@ -214,6 +214,14 @@ class TestOverlapTrace:
         with pytest.raises(ValueError, match="covariance"):
             overlap_trace(a, b)
 
+    def test_covariance_tolerance_is_1e_10(self):
+        a = make_coherent_product([(0.0, 0.0)])
+        near = GaussianState(np.zeros(2), np.eye(2) + 5e-11)
+        assert overlap_trace(a, near) == 1.0
+        far = GaussianState(np.zeros(2), np.eye(2) + 2e-10)
+        with pytest.raises(ValueError, match="differ beyond 1e-10"):
+            overlap_trace(a, far)
+
 
 class TestInvariants:
     def test_passive_ops_preserve_norm_and_identity_cov(self):

@@ -10,9 +10,9 @@ from cvconf.inference import sign_posterior_table, single_point_mi
 from cvconf.protocol import (
     SIGN_PATTERNS,
     ProtocolParams,
+    _joint_density_factors,
     _one_announcement,
     eve_conditional_means,
-    joint_density,
     mean_coefficients,
     outcome_density,
     simulate_relay,
@@ -149,7 +149,7 @@ class TestOneAnnouncement:
         with pytest.raises(ValueError, match="magnitudes"):
             _one_announcement(mags, 0.0)
 
-    @pytest.mark.parametrize("view", [joint_density, sign_posterior_table, single_point_mi,
+    @pytest.mark.parametrize("view", [sign_posterior_table, single_point_mi,
                                       single_point_holevo, single_point_rate])
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_every_view_rejects_a_non_finite_outcome(self, view, gamma):
@@ -157,7 +157,7 @@ class TestOneAnnouncement:
         with pytest.raises(ValueError, match="gamma must be finite"):
             view((1.0, 1.0, 1.0), gamma, p)
 
-    @pytest.mark.parametrize("view", [joint_density, sign_posterior_table, single_point_mi,
+    @pytest.mark.parametrize("view", [sign_posterior_table, single_point_mi,
                                       single_point_holevo, single_point_rate])
     @pytest.mark.parametrize("mags,gamma", [((1, 1, 1), 1e200), ((0, 0, 0), 1e155),
                                             ((1e200, 1, 1), 0.0), ((1e308, 1e308, 1), 0.0)])
@@ -171,13 +171,21 @@ class TestOneAnnouncement:
         assert gamma[0] == 1e153
 
 
+def joint_pdf(mags, gammas, p):
+    """Product of the two joint-density factors per row of (n, 3) magnitudes."""
+    outcome, mag_density = _joint_density_factors(np.asarray(mags, dtype=float),
+                                                  np.asarray(gammas, dtype=float), p)
+    return outcome * mag_density
+
+
 class TestJointDensity:
     def test_explicit_sum_at_zero_magnitudes(self):
         """All eight sign terms coincide at zero magnitudes."""
         p = ProtocolParams(tau=(0.9, 0.8, 0.7), sigma=(1.0, 1.0, 1.0))
-        for gamma in (0.0, 1.0):
+        values = joint_pdf(np.zeros((2, 3)), [0.0, 1.0], p)
+        for value, gamma in zip(values, (0.0, 1.0)):
             want = 8.0 * normal_pdf(gamma) * normal_pdf(0.0) ** 3
-            assert joint_density((0, 0, 0), gamma, p) == pytest.approx(want, rel=1e-13)
+            assert value == pytest.approx(want, rel=1e-13)
 
     def test_matches_term_by_term_sum(self):
         rng = np.random.default_rng(12)
@@ -189,17 +197,17 @@ class TestJointDensity:
             * np.prod([normal_pdf(m, 0.0, s) for m, s in zip(mags, p.sigma)])
             for signs in SIGN_PATTERNS
         )
-        assert joint_density(mags, gamma, p) == pytest.approx(want, rel=1e-12)
+        assert joint_pdf([mags], [gamma], p)[0] == pytest.approx(want, rel=1e-12)
 
     def test_even_in_gamma_and_positive(self):
         rng = np.random.default_rng(13)
         p = random_params(rng)
-        for _ in range(20):
-            mags = np.abs(rng.normal(0, 1.5, 3))
-            gamma = rng.normal(0, 2)
-            value = joint_density(mags, gamma, p)
-            assert value > 0.0
-            assert value == pytest.approx(joint_density(mags, -gamma, p), rel=1e-12)
+        draws = [(np.abs(rng.normal(0, 1.5, 3)), rng.normal(0, 2)) for _ in range(20)]
+        mags = np.array([m for m, _ in draws])
+        gammas = np.array([g for _, g in draws])
+        values = joint_pdf(mags, gammas, p)
+        assert np.all(values > 0.0)
+        assert values == pytest.approx(joint_pdf(mags, -gammas, p), rel=1e-12)
 
     def test_normalisation(self):
         """Integrates to 1 over the truncated announcement domain."""
@@ -209,16 +217,11 @@ class TestJointDensity:
         g_hi = float(mean_coefficients(p) @ (8.0 * np.asarray(p.sigma))) + 8.0
         gammas = np.linspace(-g_hi, g_hi, n_gam + 1)
 
-        w = mean_coefficients(p)
-        sigma = np.asarray(p.sigma)
         m1, m2, m3 = np.meshgrid(*axes, indexing="ij")
         mags = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=1)
-        mag_pdf = np.prod(np.exp(-0.5 * (mags / sigma) ** 2) / (SQRT_2PI * sigma), axis=1)
-        means = (mags * w) @ SIGN_PATTERNS.T
         per_gamma = np.empty(gammas.size)
         for k, g in enumerate(gammas):
-            lik = np.exp(-0.5 * (g - means) ** 2).sum(axis=1) / SQRT_2PI
-            vals = (lik * mag_pdf).reshape(m1.shape)
+            vals = joint_pdf(mags, np.full(len(mags), g), p).reshape(m1.shape)
             for nodes in axes:
                 vals = np.trapezoid(vals, nodes, axis=0)
             per_gamma[k] = vals
@@ -298,13 +301,6 @@ class TestSimulateRelay:
         b = simulate_relay(signs, q_mags, p_mags, p, (1.7, -2.2, 0.9))
         assert np.allclose(a.eve_state.mean, b.eve_state.mean, atol=1e-13)
         assert np.allclose(a.eve_state.cov, b.eve_state.cov, atol=1e-13)
-
-    def test_joint_likelihood_factorises(self):
-        p = ProtocolParams(tau=(0.6, 0.9, 0.75))
-        result = simulate_relay((1, 1, -1), (0.2, 0.4, 0.6), (1.0, 0.5, 0.3),
-                                p, (0.3, -0.8, 1.1))
-        assert result.joint_likelihood == pytest.approx(
-            np.prod(result.likelihoods), rel=1e-14)
 
     def test_permutation_symmetry_of_reconciled_density(self):
         """Symmetric params: permuting parties with their data changes nothing."""

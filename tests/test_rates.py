@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo rate engine and its quadrature cross-check."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -130,6 +131,7 @@ class TestEstimateRatesMc:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cvconf.rates, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         p = ProtocolParams(tau=(0.93, 0.93, 0.93))
         one_block = estimate_rates_mc(p, 64, seed=3, n_workers=4)
         assert started == []
@@ -137,6 +139,13 @@ class TestEstimateRatesMc:
         two_blocks = estimate_rates_mc(p, BLOCK_SIZE + 64, seed=3, n_workers=4)
         assert started == [2]
         assert two_blocks == estimate_rates_mc(p, BLOCK_SIZE + 64, seed=3, n_workers=1)
+        # Never more processes than CPUs, however many workers are asked for.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        estimate_rates_mc(p, 2 * BLOCK_SIZE + 64, seed=3, n_workers=100_000)
+        assert started == [2, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+        assert estimate_rates_mc(p, BLOCK_SIZE + 64, seed=3, n_workers=100_000) == two_blocks
+        assert started == [2, 2]
 
     def test_doubling_samples_is_statistically_stable(self):
         p = ProtocolParams(tau=(0.95, 0.95, 0.95))
@@ -173,6 +182,28 @@ class TestEstimateRatesMc:
                 estimate_rates_mc(p, 10, n_workers=n_workers)
             with pytest.raises(ValueError, match="n_workers must be at least 1"):
                 sweep_distance(p, [0.0, 1.0], 10, n_workers=n_workers)
+        # A float never stands in for an integer: seed 1.5 would key the stream of seed 1.
+        for kwargs, name in (({"seed": 1.5}, "seed"), ({"seed": 1.0}, "seed"),
+                             ({"n_workers": 2.0}, "n_workers")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                estimate_rates_mc(p, 10, **kwargs)
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                sweep_distance(p, [0.0], 10, **kwargs)
+        for n_samples in (1000.5, 1000.0, "1000"):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                estimate_rates_mc(p, n_samples)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_samples": 10.5}, "n_samples"),
+        ({"seed": 1.5}, "seed"),
+        ({"n_workers": -3}, "n_workers"),
+    ])
+    def test_sweep_checks_arguments_without_distances(self, kwargs, name):
+        """An empty grid runs no estimate, yet still rejects a bad argument."""
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=name):
+            sweep_distance(p, [], **{"n_samples": 10, **kwargs})
 
 
 def _mpmath_rate(mp, mags, gamma, params):
