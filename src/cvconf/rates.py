@@ -33,6 +33,8 @@ estimator.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import operator
 import os
@@ -78,8 +80,14 @@ _WIDE = 3.0
 _LOG_WIDE_RATIO_SLOPE = (1.0 - 1.0 / _WIDE ** 2) / 2.0
 _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 
+# Rows per _rate_terms call in certified_rates.  Bounds the rate core's
+# (n, 8, 8) density matrices and their temporaries to a few MB whatever
+# the batch; each row's result does not depend on it.
+_TILE = 1 << 12
+
 # Gauss-Legendre points per quadrature panel, and grid points per
-# certified_rates call in the quadrature (bounds its peak memory).
+# certified_rates call in the quadrature (bounds the chunk's points,
+# weights, density factors and summed terms; _TILE bounds the core).
 _PANEL_DEGREE = 8
 _QUAD_CHUNK = 1 << 17
 
@@ -141,10 +149,24 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
     ``rate_ps`` equals ``rate`` where the computed rate exceeds its error
     bound, so the exact rate is positive, and 0 elsewhere: announcements
     whose sign floating point cannot settle are dropped.
+
+    The rows are evaluated in tiles of ``_TILE``, so the core's working
+    memory does not grow with n.  Each row's values are those of :func:`_rate_terms` on the
+    whole batch, with one exception: a tile whose overlap deficits are all
+    exactly 0 gets chi = 0 without spectra, where a batch holding other
+    rows would have computed them.  At transmissivity below 1 that needs
+    every magnitude in the tile to be 0 (or so small that its overlap
+    exponent underflows), and 0 is the exact chi there.
     """
-    mi, chi, err = _rate_terms(mags, gamma, params)
-    rate = mi - chi
-    return rate, np.where(rate > err, rate, 0.0)
+    n = len(gamma)
+    rate = np.empty(n)
+    rate_ps = np.empty(n)
+    for start in range(0, n, _TILE):
+        tile = slice(start, start + _TILE)
+        mi, chi, err = _rate_terms(mags[tile], gamma[tile], params)
+        rate[tile] = mi - chi
+        rate_ps[tile] = np.where(rate[tile] > err, rate[tile], 0.0)
+    return rate, rate_ps
 
 
 def _mc_block(args) -> tuple[float, float, float, float]:
@@ -218,8 +240,9 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         Stream seed in [0, 2**64); together with the sample index it fully
         determines each sample's randomness.
     n_workers : int
-        Blocks are evaluated in min(n_workers, blocks, CPUs) processes when
-        that is > 1; the result is bit-identical for every value.
+        Blocks are evaluated in one pool of min(n_workers, blocks, CPUs)
+        processes when that is > 1; the result is bit-identical for every
+        value.
 
     Returns
     -------
@@ -232,24 +255,34 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         transmissivity, 2**17 samples, where chi is exactly 0 and only the
         information's rounding bound is left).
     """
-    n_samples, seed, n_workers = _check_mc_arguments(n_samples, seed, n_workers)
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    tasks = [
-        (seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), params)
-        for b in range(n_blocks)
-    ]
-    n_processes = min(n_workers, n_blocks, os.cpu_count() or 1)
-    if n_processes > 1:
-        with ProcessPoolExecutor(max_workers=n_processes) as pool:
-            block_sums = list(pool.map(_mc_block, tasks, chunksize=1))
-    else:
-        block_sums = [_mc_block(t) for t in tasks]
+    return _estimate_each([params], *_check_mc_arguments(n_samples, seed, n_workers))[0]
 
-    # Fixed-order pairwise reduction over blocks.
-    sums = np.sum(np.asarray(block_sums, dtype=float), axis=0)
-    raw = _estimate_from_sums(sums[0], sums[1], n_samples, "mc")
-    post = _estimate_from_sums(sums[2], sums[3], n_samples, "mc")
-    return raw, post
+
+def _estimate_each(params_list, n_samples: int, seed: int,
+                   n_workers: int) -> list[tuple[RateEstimate, RateEstimate]]:
+    """(raw, post-selected) estimates at each of ``params_list``, in order.
+
+    Takes checked arguments.  One pool of min(n_workers, blocks, CPUs)
+    processes, when that is > 1, serves every entry; only one entry's
+    blocks are submitted at a time, so the task queue stays one entry long.
+    """
+    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    counts = [min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE) for b in range(n_blocks)]
+    n_processes = min(n_workers, n_blocks, os.cpu_count() or 1)
+    estimates = []
+    with contextlib.ExitStack() as stack:
+        run_blocks = map
+        if n_processes > 1 and params_list:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_processes))
+            run_blocks = functools.partial(pool.map, chunksize=1)
+        for params in params_list:
+            tasks = [(seed, b, count, params) for b, count in enumerate(counts)]
+            block_sums = list(run_blocks(_mc_block, tasks))
+            # Fixed-order pairwise reduction over blocks.
+            sums = np.sum(np.asarray(block_sums, dtype=float), axis=0)
+            estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples, "mc"),
+                              _estimate_from_sums(sums[2], sums[3], n_samples, "mc")))
+    return estimates
 
 
 def _composite_gauss_legendre(lo: float, hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,21 +329,21 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     g_half_req = max(nodes_per_axis // 2, int(math.ceil(g_hi * density)), 8)
     g_nodes, g_half_weights = _composite_gauss_legendre(0.0, g_hi, g_half_req)
 
-    grids = np.meshgrid(mag_axes[0][0], mag_axes[1][0], mag_axes[2][0],
-                        g_nodes, indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weight_grids = np.meshgrid(mag_axes[0][1], mag_axes[1][1], mag_axes[2][1],
-                               2.0 * g_half_weights, indexing="ij")
-    quad_weights = np.prod(np.stack([g.reshape(-1) for g in weight_grids], axis=1), axis=1)
+    axes = mag_axes + [(g_nodes, 2.0 * g_half_weights)]
+    shape = tuple(len(nodes) for nodes, _ in axes)
+    n_points = math.prod(shape)
 
+    # Row-major (mag_A, mag_B, mag_C, outcome) grid, built one chunk at a time.
     total = 0.0
-    n_points = points.shape[0]
     for start in range(0, n_points, _QUAD_CHUNK):
-        mags = points[start:start + _QUAD_CHUNK, :3]
-        gamma = points[start:start + _QUAD_CHUNK, 3]
+        index = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, n_points)), shape)
+        points = np.stack([nodes[i] for (nodes, _), i in zip(axes, index)], axis=1)
+        quad_weights = np.prod(np.stack([w[i] for (_, w), i in zip(axes, index)], axis=1), axis=1)
+        mags = points[:, :3]
+        gamma = points[:, 3]
         _, rate_ps = certified_rates(mags, gamma, params)
         outcome, mag_density = _joint_density_factors(mags, gamma, params)
-        total += float((quad_weights[start:start + _QUAD_CHUNK] * outcome * mag_density * rate_ps).sum())
+        total += float((quad_weights * outcome * mag_density * rate_ps).sum())
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 
 
@@ -321,12 +354,14 @@ def sweep_distance(params_template: ProtocolParams, distances, n_samples: int,
     Every distance reuses the same seed, so adjacent points share their
     announcement randomness (common random numbers) and the sweep is
     deterministic given (seed, n_samples).  The arguments are checked
-    before any distance, so an empty grid rejects bad ones too.
+    before any distance, so an empty grid rejects bad ones too.  One
+    process pool serves the whole grid, distance after distance; each
+    point is bit-identical to :func:`estimate_rates_mc` at that distance,
+    for any worker count.
     """
-    _check_mc_arguments(n_samples, seed, n_workers)
-    points = []
-    for d in distances:
-        params = params_template.at_distance(float(d))
-        raw, post = estimate_rates_mc(params, n_samples, seed, n_workers)
-        points.append(SweepPoint(float(d), params.tau[0], post, raw))
-    return points
+    checked = _check_mc_arguments(n_samples, seed, n_workers)
+    grid = [float(d) for d in distances]
+    params_list = [params_template.at_distance(d) for d in grid]
+    estimates = _estimate_each(params_list, *checked)
+    return [SweepPoint(d, params.tau[0], post, raw)
+            for d, params, (raw, post) in zip(grid, params_list, estimates)]

@@ -2,6 +2,8 @@
 
 import math
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,57 @@ from cvconf.protocol import CASCADE_T1, CASCADE_T2, ProtocolParams, mean_coeffic
 from cvconf.rates import (
     BLOCK_SIZE,
     MAX_SAMPLES,
+    SweepPoint,
     certified_rates,
     estimate_rates_mc,
     quadrature_cross_check,
     single_point_rate,
     sweep_distance,
+    _TILE,
     _rate_terms,
 )
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that runs its tasks in-process.
+
+    Records each pool's ``max_workers`` in ``started`` and each ``map``
+    call's task list in ``mapped``.
+    """
+    record = SimpleNamespace(started=[], mapped=[])
+
+    class RecordingPool:
+        """Stands in for the process pool and runs the tasks in-process."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            record.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            record.mapped.append(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cvconf.rates, "ProcessPoolExecutor", RecordingPool)
+    return record
+
+
+def _mixture_draws(params, n, seed):
+    """Announcements drawn as the Monte-Carlo sampler draws them: magnitudes
+    from the physical half-normal or one three times as wide, the outcome
+    around its conditional mean."""
+    rng = np.random.default_rng(seed)
+    wide = rng.integers(0, 2, size=n) == 1
+    signs = rng.choice([-1.0, 1.0], size=(n, 3))
+    mags = np.abs(rng.normal(0.0, 1.0, size=(n, 3))) * np.where(wide, 3.0, 1.0)[:, None]
+    mags *= np.asarray(params.sigma)
+    return mags, rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
 
 
 class TestSinglePointRate:
@@ -111,26 +157,9 @@ class TestEstimateRatesMc:
         assert serial[1].value == parallel[1].value
         assert serial[1].std_error == parallel[1].std_error
 
-    def test_at_most_one_process_per_block(self, monkeypatch):
+    def test_at_most_one_process_per_block(self, monkeypatch, recording_pool):
         """No pool for a single block; never more processes than blocks."""
-        started = []
-
-        class RecordingPool:
-            """Stands in for the process pool and runs the tasks in-process."""
-
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cvconf.rates, "ProcessPoolExecutor", RecordingPool)
+        started = recording_pool.started
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         p = ProtocolParams(tau=(0.93, 0.93, 0.93))
         one_block = estimate_rates_mc(p, 64, seed=3, n_workers=4)
@@ -308,6 +337,30 @@ class TestCertifiedDecision:
         assert np.array_equal(rate_ps, np.where(rate > err, rate, 0.0))
         assert np.all(err > 0.0)
 
+    @pytest.mark.parametrize("distance", [1.0, 2.0])
+    def test_tiles_equal_the_whole_batch(self, distance):
+        """Tiling changes no row: a ragged batch of mixture draws gets the
+        values of one whole-batch evaluation, bit for bit."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
+        mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=63)
+        rate, rate_ps = certified_rates(mags, gamma, params)
+        mi, chi, err = _rate_terms(mags, gamma, params)
+        whole = mi - chi
+        assert np.array_equal(rate, whole)
+        assert np.array_equal(rate_ps, np.where(whole > err, whole, 0.0))
+
+    def test_peak_memory_is_bounded_by_a_tile(self):
+        """One 2 km sample block traces ~6 MB in tiles, ~76 MB as one batch."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
+        mags, gamma = _mixture_draws(params, BLOCK_SIZE, seed=64)
+        tracemalloc.start()
+        try:
+            certified_rates(mags, gamma, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_no_dust_beyond_the_positivity_boundary(self):
         """Floating-point noise once gave 2.78e-14 +- 1.6e-15 here; every
         announcement at 6 km has an exactly negative rate."""
@@ -347,7 +400,8 @@ class TestQuadratureCrossCheck:
         (0.0, 0.019820915753750678), (2.0, 1.3443164922862247e-10), (4.0, 0.0)])
     def test_matches_full_outcome_rule(self, distance, want):
         """Values of the full symmetric outcome rule (16 nodes, trace) that
-        the mirrored half rule reproduces."""
+        the mirrored half rule reproduces, and the half rule's own bits,
+        which any change to the grid or its chunking must keep."""
         p = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
         quad = quadrature_cross_check(p, nodes_per_axis=16)
         assert quad.n_samples == 393_216
@@ -355,6 +409,8 @@ class TestQuadratureCrossCheck:
             assert quad.value == 0.0
         else:
             assert quad.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert quad.value == {0.0: 0.01982091575375071, 2.0: 1.3443164922863576e-10,
+                              4.0: 0.0}[distance]
 
     def test_evaluates_half_the_rule(self, monkeypatch):
         rows = []
@@ -403,6 +459,23 @@ class TestSweepDistance:
         for point in a:
             want = transmissivity_from_distance(point.distance_km, 0.02)
             assert abs(point.tau - want) <= 1e-15
+
+    def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
+        """One pool serves the whole grid, one distance's blocks at a time,
+        and every point is the serial estimate at its distance."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        template = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        n = BLOCK_SIZE + 64
+        points = sweep_distance(template, [float(d) for d in range(8)], n, seed=3, n_workers=4)
+        assert recording_pool.started == [2]
+        assert len(recording_pool.mapped) == 8
+        for tasks in recording_pool.mapped:
+            assert [t[1] for t in tasks] == [0, 1]
+            assert all(t[3] == tasks[0][3] for t in tasks)
+        for point in points:
+            params = template.at_distance(point.distance_km)
+            raw, post = estimate_rates_mc(params, n, seed=3, n_workers=1)
+            assert point == SweepPoint(point.distance_km, params.tau[0], post, raw)
 
     def test_zero_distance_has_largest_rate(self):
         template = ProtocolParams(tau=(1.0, 1.0, 1.0))
