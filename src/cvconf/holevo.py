@@ -39,6 +39,12 @@ ValueError.  The core also returns a bound on the distance between the
 computed and the exact bound, built from the inputs' relative errors
 (which scale the spectrum) and the assembly and eigensolver rounding
 (which shifts it).
+
+A lower bound needs no eigensolver: the information about A's sign in
+A's own tap, chi(A; E_A), is the entropy of a mixture of two pure states
+with a closed-form spectrum, and discarding E_B and E_C cannot raise it
+(:func:`_own_tap_holevo_with_bound`).  The rate engine uses it to skip the
+spectra of announcements it proves unkeepable.
 """
 
 from __future__ import annotations
@@ -291,6 +297,45 @@ def _holevo_in_range(chi: float) -> float:
     if not -1e-9 <= chi <= 1.0 + 1e-9:
         raise ValueError(f"Holevo information {chi} outside [0, 1]")
     return min(max(chi, 0.0), 1.0)
+
+
+def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
+                               rel_err) -> tuple[np.ndarray, np.ndarray]:
+    """chi(A; E_A), A's sign against A's tap alone, in closed form, with an error bound.
+
+    Given the announcement, E_A holds one of two pure states with overlap
+    X = 1 - delta, weighted by A's sign marginals p and q.  In {Phi_0, Phi_1}
+    their mixture is D M D with D = diag(c0, c1) and M = [[p+q, p-q], [p-q,
+    p+q]], so its eigenvalues have product pq*delta*(2-delta) and the larger
+    is ((p+q) + sqrt((p-q)**2 + 4pq*X**2)) / 2, a sum of non-negative terms;
+    the smaller is the product over the larger, so neither cancels.  Both
+    conditional states are pure, so chi(A; E_A) is the mixture's entropy.
+    Discarding E_B and E_C cannot raise Holevo information (data processing;
+    Lindblad, Commun. Math. Phys. 40, 1975), so chi(A) >= chi(A; E_A).
+
+    ``deficits`` holds 1 - X per party and ``rel_err`` bounds the relative
+    error of every table entry.  Relative to the exact eigenvalues of the
+    same announcement, the computed ones are scaled by at most:
+    rel_err + 1.5 ulps from p and q (sums of four entries), which bounds M
+    between (1 -/+ that) M in the positive semidefinite order; 2.5 ulps from
+    delta (three roundings in its exponent, one ulp of ``expm1``), which
+    rescales c0**2 and c1**2 by at most as much, a congruence of D M D that
+    scales each eigenvalue by as much (Ostrowski); and 5 ulps from the
+    formula (at most 10 roundings of half an ulp along either eigenvalue's
+    expression).  That is rel_err + 9 ulps; the products of these factors
+    add under 7.5 ulps per unit of rel_err, hence rel_err + 16 ulps *
+    (1 + rel_err) below.  The eigenvalues carry no absolute error.
+    """
+    # A's sign is the table index's top bit: rows 4-7 are A = +1.
+    p = tables[:, 4:].sum(axis=1)
+    q = tables[:, :4].sum(axis=1)
+    delta = deficits[:, 0]
+    overlap = 1.0 - delta
+    larger = 0.5 * ((p + q) + np.sqrt((p - q) ** 2 + 4.0 * p * q * (overlap * overlap)))
+    smaller = p * q * (delta * (2.0 - delta)) / larger
+    rel = np.asarray(rel_err, dtype=float)
+    rel = rel + 16.0 * _EPS * (1.0 + rel)
+    return _entropy_with_bound(np.stack([smaller, larger], axis=-1), rel[..., None], 0.0)
 
 
 def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,

@@ -28,7 +28,9 @@ results are bit-identical for any degree of parallelism.
 
 A deterministic tensor-product quadrature over the truncated announcement
 domain, using the explicit joint density as weight, cross-validates the
-estimator.
+estimator.  It needs only the post-selected part, so it skips the
+spectra of rows whose rate a closed-form lower bound on chi(A) proves
+negative (:func:`_post_selected_rates`), bit-identically.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holevo import _holevo_in_range, _holevo_with_bound, overlap_deficits_batch
+from .holevo import _holevo_in_range, _holevo_with_bound, _own_tap_holevo_with_bound, \
+    overlap_deficits_batch
 from .inference import _mi_with_bound, posterior_rel_err, posterior_table_batch
 from .protocol import ProtocolParams, _joint_density_factors, _one_announcement, \
     mean_coefficients
@@ -133,12 +136,30 @@ def _single_point_terms(mags, gamma: float, params: ProtocolParams) -> tuple[flo
 def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
                 params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I(A:B), chi(A), and a bound on |computed - exact| of I - chi."""
+    tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
+    chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), "A", rel_err)
+    return mi, chi, _rate_bound(mi, mi_err, chi, chi_err)
+
+
+def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The posterior tables, their relative error bound, and I(A:B) with its bound."""
     tables = posterior_table_batch(mags, gamma, params)
     rel_err = posterior_rel_err(mags, gamma, params)
     mi, mi_err = _mi_with_bound(tables, ("A", "B"), rel_err)
-    chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params),
-                                      "A", rel_err)
-    return mi, chi, mi_err + chi_err + _EPS * (mi + chi)
+    return tables, rel_err, mi, mi_err
+
+
+def _rate_bound(mi, mi_err, chi, chi_err):
+    """Bound on |computed - exact| of mi - chi from the two terms' bounds,
+    with an ulp of each term for the subtraction and this sum."""
+    return mi_err + chi_err + _EPS * (mi + chi)
+
+
+def _keep(rate, err):
+    """The certified post-selected part: rate where it exceeds its bound err,
+    so the exact rate is positive, and 0 elsewhere."""
+    return np.where(rate > err, rate, 0.0)
 
 
 def certified_rates(mags: np.ndarray, gamma: np.ndarray,
@@ -151,12 +172,14 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
     whose sign floating point cannot settle are dropped.
 
     The rows are evaluated in tiles of ``_TILE``, so the core's working
-    memory does not grow with n.  Each row's values are those of :func:`_rate_terms` on the
-    whole batch, with one exception: a tile whose overlap deficits are all
-    exactly 0 gets chi = 0 without spectra, where a batch holding other
-    rows would have computed them.  At transmissivity below 1 that needs
-    every magnitude in the tile to be 0 (or so small that its overlap
-    exponent underflows), and 0 is the exact chi there.
+    memory does not grow with n.  Each row's values are those of
+    :func:`_rate_terms` on the whole batch, with one exception: a set of
+    rows whose overlap deficits are all exactly 0 gets chi = 0 without
+    spectra, where a batch holding other rows would have computed them.
+    Here that set is a tile; in :func:`_post_selected_rates` it is a tile's
+    unscreened rows.  At transmissivity below 1 that needs every magnitude
+    in the set to be 0 (or so small that its overlap exponent underflows),
+    and 0 is the exact chi there.
     """
     n = len(gamma)
     rate = np.empty(n)
@@ -165,8 +188,44 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
         tile = slice(start, start + _TILE)
         mi, chi, err = _rate_terms(mags[tile], gamma[tile], params)
         rate[tile] = mi - chi
-        rate_ps[tile] = np.where(rate[tile] > err, rate[tile], 0.0)
+        rate_ps[tile] = _keep(rate[tile], err)
     return rate, rate_ps
+
+
+def _screened(tables: np.ndarray, deficits: np.ndarray, rel_err, mi, mi_err) -> np.ndarray:
+    """Rows whose exact rate I - chi(A) is provably negative, without spectra.
+
+    chi(A) >= chi(A; E_A), which has a closed form
+    (:func:`~cvconf.holevo._own_tap_holevo_with_bound`), so I - chi(A; E_A)
+    bounds the rate from above.  Its computed value below minus its bound
+    (the keep rule of :func:`certified_rates`, mirrored) makes it exactly
+    negative, and then the certified rule cannot keep the row.  A NaN
+    anywhere leaves the row unscreened, for the spectra's checks to reject.
+    """
+    chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
+    return mi - chi_low < -_rate_bound(mi, mi_err, chi_low, chi_low_err)
+
+
+def _post_selected_rates(mags: np.ndarray, gamma: np.ndarray,
+                         params: ProtocolParams) -> np.ndarray:
+    """``certified_rates(mags, gamma, params)[1]``, bit for bit, with no
+    spectra for the rows :func:`_screened` proves negative.
+
+    Per tile, the information half runs on every row and chi(A) on the
+    unscreened rows only, each with the value :func:`certified_rates`
+    computes (see its docstring for the one exception); a screened row gets
+    the 0.0 it would get there.  The raw rate would need chi on every row.
+    """
+    rate_ps = np.zeros(len(gamma))
+    for start in range(0, len(gamma), _TILE):
+        tile = slice(start, start + _TILE)
+        tables, rel_err, mi, mi_err = _information_terms(mags[tile], gamma[tile], params)
+        deficits = overlap_deficits_batch(mags[tile], params)
+        live = ~_screened(tables, deficits, rel_err, mi, mi_err)
+        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], "A", rel_err[live])
+        mi = mi[live]
+        rate_ps[tile][live] = _keep(mi - chi, _rate_bound(mi, mi_err[live], chi, chi_err))
+    return rate_ps
 
 
 def _mc_block(args) -> tuple[float, float, float, float]:
@@ -317,6 +376,11 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     doubled weights.  A kept node's exact rate at the mirrored outcome is
     the same, so still positive.  ``n_samples`` counts the nodes of the
     full symmetric rule.
+
+    The nodes go through :func:`_post_selected_rates`, which computes no
+    spectra where chi(A; E_A) proves the rate negative (58% of the 16-node
+    grid at 2 km; none at 0 km, where every overlap is 1), with the value
+    that ``certified_rates`` on every node gives, bit for bit.
     """
     if nodes_per_axis < 8:
         raise ValueError("nodes_per_axis must be at least 8")
@@ -341,7 +405,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
         quad_weights = np.prod(np.stack([w[i] for (_, w), i in zip(axes, index)], axis=1), axis=1)
         mags = points[:, :3]
         gamma = points[:, 3]
-        _, rate_ps = certified_rates(mags, gamma, params)
+        rate_ps = _post_selected_rates(mags, gamma, params)
         outcome, mag_density = _joint_density_factors(mags, gamma, params)
         total += float((quad_weights * outcome * mag_density * rate_ps).sum())
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")

@@ -16,6 +16,7 @@ from cvconf.holevo import (
     _coefficient_vectors,
     _condition,
     _holevo_with_bound,
+    _own_tap_holevo_with_bound,
     assemble_total_state,
     eve_overlaps,
     gram_oracle_entropy,
@@ -512,6 +513,39 @@ class TestExactZeros:
         chi, _ = _holevo_with_bound(table.probs[None, :],
                                     overlap_deficits_batch(np.array([mags]), p), "A", 0.0)
         assert chi[0] == pytest.approx(want, abs=1e-9)
+
+
+class TestOwnTapHolevo:
+    """chi(A; E_A) in closed form against the Gram spectrum of the two tap states."""
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_matches_gram_oracle(self, convention):
+        rng = np.random.default_rng(49)
+        params = random_params(rng, overlap_convention=convention)
+        mags = np.abs(rng.normal(0.0, 2.0, size=(300, 3)))
+        gamma = rng.normal(0.0, 3.0, 300)
+        tables = posterior_table_batch(mags, gamma, params)
+        deficits = overlap_deficits_batch(mags, params)
+        chi, bound = _own_tap_holevo_with_bound(tables, deficits, 0.0)
+        for k in range(300):
+            p, q = tables[k, SIGN_PATTERNS[:, 0] > 0].sum(), tables[k, SIGN_PATTERNS[:, 0] < 0].sum()
+            want = gram_oracle_entropy([p, q], [eve_overlaps(mags[k], params)[0]])
+            assert chi[k] == pytest.approx(want, abs=1e-12)
+        assert np.all(bound >= 0.0) and np.all(bound < 1e-13)
+
+    @pytest.mark.parametrize("weights, overlap, want", [
+        ((0.5, 0.5), 0.0, 1.0),    # orthogonal, equally likely: one bit
+        ((0.5, 0.5), 1.0, 0.0),    # identical states
+        ((1.0, 0.0), 0.3, 0.0),    # a certain sign
+    ])
+    def test_limits(self, weights, overlap, want):
+        tables = np.zeros((1, 8))
+        tables[0, 4:] = weights[0] / 4.0
+        tables[0, :4] = weights[1] / 4.0
+        chi, bound = _own_tap_holevo_with_bound(tables, np.full((1, 3), 1.0 - overlap), 0.0)
+        assert chi[0] == pytest.approx(want, abs=1e-15)
+        assert chi[0] == pytest.approx(gram_oracle_entropy(weights, [overlap]), abs=1e-15)
+        assert 0.0 <= bound[0] < 1e-14
 
 
 class TestHolevoCore:

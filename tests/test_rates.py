@@ -11,7 +11,8 @@ import pytest
 import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
-from cvconf.holevo import single_point_holevo
+from cvconf.holevo import _own_tap_holevo_with_bound, overlap_deficits_batch, \
+    single_point_holevo
 from cvconf.inference import single_point_mi
 from cvconf.protocol import CASCADE_T1, CASCADE_T2, ProtocolParams, mean_coefficients, \
     transmissivity_from_distance
@@ -25,7 +26,10 @@ from cvconf.rates import (
     single_point_rate,
     sweep_distance,
     _TILE,
+    _information_terms,
+    _post_selected_rates,
     _rate_terms,
+    _screened,
 )
 
 
@@ -69,6 +73,12 @@ def _mixture_draws(params, n, seed):
     mags = np.abs(rng.normal(0.0, 1.0, size=(n, 3))) * np.where(wide, 3.0, 1.0)[:, None]
     mags *= np.asarray(params.sigma)
     return mags, rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
+
+
+def _screen(mags, gamma, params):
+    """The rows that the quadrature's loop screens out before their spectra."""
+    tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
+    return _screened(tables, overlap_deficits_batch(mags, params), rel_err, mi, mi_err)
 
 
 class TestSinglePointRate:
@@ -294,18 +304,26 @@ def _mpmath_rate(mp, mags, gamma, params):
 class TestCertifiedDecision:
     """The post-selection decision against a 60-digit oracle.
 
-    Draws at 2, 4 and 6 km (trace convention, magnitudes three times as
-    wide as the modulation), including the sigma = 8 tail where a
-    floating-point evaluation makes many exactly negative rates positive.
-    The oracle points are the largest computed rates, every kept draw up
-    to a cap, and a random handful.
+    Draws at 2, 4 and 6 km under the trace convention and at 3 and 5 km
+    under the amplitude convention (magnitudes three times as wide as the
+    modulation), including the sigma = 8 tail where a floating-point
+    evaluation makes many exactly negative rates positive.  The oracle
+    points are the largest computed rates, every kept draw up to a cap, the
+    screened draws with the largest computed rates, and a random handful.
     """
 
-    @pytest.mark.parametrize("distance, sigma", [(2.0, 1.0), (4.0, 1.0), (6.0, 1.0), (6.0, 8.0)])
-    def test_against_mpmath_oracle(self, distance, sigma):
+    @pytest.mark.parametrize("distance, sigma, convention, kept_any", [
+        pytest.param(2.0, 1.0, "trace", True, id="2.0-1.0"),
+        pytest.param(4.0, 1.0, "trace", False, id="4.0-1.0"),
+        pytest.param(6.0, 1.0, "trace", False, id="6.0-1.0"),
+        pytest.param(6.0, 8.0, "trace", False, id="6.0-8.0"),
+        pytest.param(3.0, 1.0, "amplitude", True, id="amplitude-3.0-1.0"),
+        pytest.param(5.0, 1.0, "amplitude", True, id="amplitude-5.0-1.0"),
+    ])
+    def test_against_mpmath_oracle(self, distance, sigma, convention, kept_any):
         mp = pytest.importorskip("mpmath")
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), sigma=(sigma,) * 3,
-                                overlap_convention="trace").at_distance(distance)
+                                overlap_convention=convention).at_distance(distance)
         rng = np.random.default_rng(60)
         n = 20_000
         signs = rng.choice([-1.0, 1.0], size=(n, 3))
@@ -314,17 +332,26 @@ class TestCertifiedDecision:
         rate, rate_ps = certified_rates(mags, gamma, params)
         err = _rate_terms(mags, gamma, params)[2]
         kept = rate_ps > 0.0
-        if distance == 2.0:
+        screened = _screen(mags, gamma, params)
+        if kept_any:
             assert kept.any()
         else:
             assert not kept.any()
             assert (rate > 0.0).any()  # floating point alone would keep some
+        assert screened.any() and not (screened & kept).any()
+        closest = np.flatnonzero(screened)[np.argsort(-rate[screened])[:10]]
         picks = np.unique(np.concatenate([
-            np.argsort(-rate)[:10], np.flatnonzero(kept)[:10], rng.choice(n, 5, replace=False)]))
+            np.argsort(-rate)[:10], np.flatnonzero(kept)[:10], closest,
+            rng.choice(n, 5, replace=False)]))
         with mp.workdps(60):
-            exact = np.array([float(_mpmath_rate(mp, mags[k], gamma[k], params)) for k in picks])
+            exact_mp = [_mpmath_rate(mp, mags[k], gamma[k], params) for k in picks]
+            # Signs from the 60-digit values: some screened rates lie below
+            # the smallest float and would round to -0.0.
+            negative = np.array([v < 0 for v in exact_mp])
+        exact = np.array([float(v) for v in exact_mp])
         assert np.all(np.abs(rate[picks] - exact) <= err[picks])
         assert np.all(exact[kept[picks]] > 0.0)
+        assert np.all(negative[screened[picks]])
 
     def test_certified_rates_keep_only_beyond_bound(self):
         p = ProtocolParams(tau=(0.9, 0.9, 0.9))
@@ -369,6 +396,86 @@ class TestCertifiedDecision:
         _, post = estimate_rates_mc(params, 1 << 18, seed=0)
         assert post.value == 0.0
         assert post.std_error == 0.0
+
+
+class TestScreen:
+    """The quadrature's loop skips the spectra of rows that chi(A; E_A) proves
+    negative, and returns the post-selected part of certified_rates bit for bit."""
+
+    @pytest.fixture
+    def chi_rows(self, monkeypatch):
+        """Rows per call of the spectra core made from the rates module."""
+        rows = []
+        original = cvconf.rates._holevo_with_bound
+
+        def counting(tables, *args):
+            rows.append(len(tables))
+            return original(tables, *args)
+
+        monkeypatch.setattr(cvconf.rates, "_holevo_with_bound", counting)
+        return rows
+
+    @pytest.mark.parametrize("distance", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_own_tap_never_exceeds_full_chi(self, distance, convention):
+        """chi(A; E_A) <= chi(A) on mixture draws, to within the two bounds."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        mags, gamma = _mixture_draws(params, _TILE, seed=66)
+        _, chi, err = _rate_terms(mags, gamma, params)
+        tables, rel_err, _, _ = _information_terms(mags, gamma, params)
+        chi_low, chi_low_err = _own_tap_holevo_with_bound(
+            tables, overlap_deficits_batch(mags, params), rel_err)
+        assert np.all(chi_low <= chi + chi_low_err + err)
+        assert np.median(chi_low / chi) > 0.5  # close enough to screen most draws
+
+    @pytest.mark.parametrize("convention, distance", [
+        ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
+    def test_equals_certified_rates(self, convention, distance, chi_rows):
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=65)
+        rate_ps = _post_selected_rates(mags, gamma, params)
+        live = sum(chi_rows)
+        assert 0 < live < len(gamma) // 10  # over 90% screened
+        assert live == np.count_nonzero(~_screen(mags, gamma, params))
+        assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+        assert (rate_ps > 0.0).any()
+
+    def test_grid_equals_certified_rates(self, monkeypatch):
+        """Every chunk of an 8-node grid at 2 km, about half of it screened."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
+        shares = []
+
+        def checking(mags, gamma, params):
+            rate_ps = _post_selected_rates(mags, gamma, params)
+            assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+            shares.append(_screen(mags, gamma, params).mean())
+            return rate_ps
+
+        monkeypatch.setattr(cvconf.rates, "_post_selected_rates", checking)
+        quad = quadrature_cross_check(params, nodes_per_axis=8)
+        assert quad.value > 0.0
+        assert shares and 0.3 < np.mean(shares) < 0.9
+
+    def test_tile_with_every_row_screened(self, chi_rows):
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
+        mags, gamma = _mixture_draws(params, 2 * _TILE, seed=67)
+        screened = np.flatnonzero(_screen(mags, gamma, params))[:_TILE]
+        assert len(screened) == _TILE
+        mags, gamma = mags[screened], gamma[screened]
+        rate_ps = _post_selected_rates(mags, gamma, params)
+        assert chi_rows == [0]
+        assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+
+    def test_zero_km_tile_screens_nothing(self, chi_rows):
+        """At unit transmissivity chi(A; E_A) is 0, so no row can be screened."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        mags, gamma = _mixture_draws(params, _TILE, seed=68)
+        rate_ps = _post_selected_rates(mags, gamma, params)
+        assert chi_rows == [_TILE]
+        assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+        assert (rate_ps > 0.0).any()
 
 
 class TestOutcomeMirror:
@@ -417,9 +524,9 @@ class TestQuadratureCrossCheck:
 
         def counting(mags, gamma, params):
             rows.append(gamma.copy())
-            return certified_rates(mags, gamma, params)
+            return _post_selected_rates(mags, gamma, params)
 
-        monkeypatch.setattr(cvconf.rates, "certified_rates", counting)
+        monkeypatch.setattr(cvconf.rates, "_post_selected_rates", counting)
         quad = quadrature_cross_check(ProtocolParams(tau=(1.0, 1.0, 1.0)), nodes_per_axis=8)
         gamma = np.concatenate(rows)
         assert 2 * gamma.size == quad.n_samples
