@@ -7,9 +7,10 @@ spans a two-dimensional space {Phi_0, Phi_1} in which the states read
 c0*Phi_0 +/- c1*Phi_1 with c0^2 = (1+X)/2, c1^2 = (1-X)/2 for pairwise
 overlap X.  Mixing the eight of them with the sign posterior gives an
 8x8 real density matrix whose entries factor into coefficient products
-times posterior-weighted parity sums; conditioning on one party's sign
-leaves a 4x4 matrix over the other two (the conditioned party's pure
-factor carries no entropy).
+times posterior-weighted parity sums; conditioning on A's sign leaves a
+4x4 matrix over B and C (A's pure factor carries no entropy).  The rate
+needs the Holevo information on A's sign only, so that is the one
+conditioning the core does.
 
 An independent route to the same spectra is the Gram construction: the
 nonzero spectrum of a mixture of pure states equals that of the overlap
@@ -25,9 +26,9 @@ and a more conservative key rate.
 Where every overlap is exactly 1 (unit transmissivity, as everywhere at
 0 km) all eight states coincide, so the eavesdropper's state does not
 depend on any sign: the Holevo information is exactly 0 and no spectrum
-is computed.  A party's own overlap being 1 is not enough: with the
-other parties' taps lossy, their states still reveal its sign through
-the posterior correlations.
+is computed.  A's own overlap being 1 is not enough: with B's and C's
+taps lossy, their states still reveal A's sign through the posterior
+correlations.
 
 The assembly works with the overlap deficit 1 - X (from ``expm1`` when
 the overlaps come from announcements), so the small coefficient c1 keeps
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import PosteriorTable, _eta, _party_index, posterior_table_batch
+from .inference import PosteriorTable, _eta, posterior_table_batch
 from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcement
 
 __all__ = [
@@ -95,12 +96,11 @@ _BITS4 = np.array([[(t >> 1) & 1, t & 1] for t in range(4)], dtype=float)
 _PAR8 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS8[:, None, :] - _BITS8[None, :, :]), _BITS8)
 _PAR4 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS4[:, None, :] - _BITS4[None, :, :]), _BITS4)
 
-# Full-table indices, per conditioned party and sign bit, of the four
-# remaining-parties patterns in their own binary order (dropping one bit
-# of the table index keeps the order of the other two).
-_OTHER_PARTIES = ((1, 2), (0, 2), (0, 1))
-_COND_IDX = np.array([[[t for t in range(8) if (t >> (2 - x)) & 1 == b] for b in range(2)]
-                      for x in range(3)])
+# Table rows with A = +1, then A = -1, each holding (B, C) in binary
+# order.  Keep it a fancy index: weights taken through the equal view
+# tables.reshape(-1, 2, 4)[:, ::-1] reach _assemble_batch's einsum with
+# other strides, which then sums in another order and changes low bits.
+_A_ROWS = np.array([[4, 5, 6, 7], [0, 1, 2, 3]])
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class EveDensityMatrix:
 
     ``matrix`` is 8x8 for the total state (basis ordered by the binary
     string (i, j, k) over the three parties' {Phi_0, Phi_1} factors) or
-    4x4 for a state conditioned on one party's sign.
+    4x4 for a state conditioned on A's sign.
     """
 
     matrix: np.ndarray
@@ -182,13 +182,13 @@ def _assemble_batch(weights: np.ndarray, deficits: np.ndarray,
     return cvec[..., :, None] * cvec[..., None, :] * lam
 
 
-def _condition(tables: np.ndarray, x_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Party x_idx's sign marginals (n, 2) and conditional weights (n, 2, 4), +1 first.
+def _condition(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's sign marginals (n, 2) and the conditional (B, C) weights (n, 2, 4), A = +1 first.
 
     A zero marginal gets the uniform conditional: it only ever enters the
     Holevo average with weight zero.
     """
-    weights = tables[:, _COND_IDX[x_idx, ::-1]]
+    weights = tables[:, _A_ROWS]
     marginal = weights.sum(axis=-1)
     safe = np.where(marginal > 0.0, marginal, 1.0)
     return marginal, np.where(marginal[..., None] > 0.0, weights / safe[..., None], 0.25)
@@ -271,9 +271,8 @@ def gram_oracle_entropy(weights, overlaps) -> float:
     return float(_entropy_of_eigenvalues(gram_spectrum(weights, overlaps)))
 
 
-def single_point_holevo(mags, gamma: float, params: ProtocolParams,
-                        party="A") -> float:
-    """Holevo information on one party's sign given one announcement.
+def single_point_holevo(mags, gamma: float, params: ProtocolParams) -> float:
+    """Holevo information chi(A) on A's sign given one announcement.
 
     The n = 1 view of the batched core: S(total) minus the posterior-
     weighted average of the two conditional entropies.  The exact value
@@ -284,7 +283,7 @@ def single_point_holevo(mags, gamma: float, params: ProtocolParams,
     """
     mags, gamma = _one_announcement(mags, gamma)
     tables = posterior_table_batch(mags, gamma, params)
-    chi = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), party, 0.0)[0]
+    chi = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), 0.0)[0]
     return _holevo_in_range(float(chi[0]))
 
 
@@ -326,9 +325,7 @@ def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     add under 7.5 ulps per unit of rel_err, hence rel_err + 16 ulps *
     (1 + rel_err) below.  The eigenvalues carry no absolute error.
     """
-    # A's sign is the table index's top bit: rows 4-7 are A = +1.
-    p = tables[:, 4:].sum(axis=1)
-    q = tables[:, :4].sum(axis=1)
+    p, q = tables[:, _A_ROWS].sum(axis=-1).T
     delta = deficits[:, 0]
     overlap = 1.0 - delta
     larger = 0.5 * ((p + q) + np.sqrt((p - q) ** 2 + 4.0 * p * q * (overlap * overlap)))
@@ -338,9 +335,9 @@ def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     return _entropy_with_bound(np.stack([smaller, larger], axis=-1), rel[..., None], 0.0)
 
 
-def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
+def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
                        rel_err) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Holevo bound and a bound on its error against the exact value.
+    """Batched Holevo bound chi(A) and a bound on its error against the exact value.
 
     ``deficits`` holds 1 - X per party and ``rel_err`` bounds the relative
     error of every table entry.  A batch whose deficits are all exactly 0
@@ -352,7 +349,6 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
     eigensolver rounding then shift each eigenvalue by at most
     ``_EIG_ABS_ERR``.
     """
-    x_idx = _party_index(party)
     if not deficits.any():
         return np.zeros(len(tables)), np.zeros(len(tables))
     rel = np.asarray(rel_err, dtype=float) + 32.0 * _EPS  # coefficients and sums
@@ -360,8 +356,8 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray, party,
         _checked_eigvalsh(_assemble_batch(tables, deficits, _BITS8, _PAR8)),
         rel[..., None], _EIG_ABS_ERR[8])
 
-    marginal, cond = _condition(tables, x_idx)
-    rest = deficits[:, None, list(_OTHER_PARTIES[x_idx])]
+    marginal, cond = _condition(tables)
+    rest = deficits[:, None, 1:]
     # Normalising by the marginal doubles the weights' relative error.
     entropy, err = _entropy_with_bound(
         _checked_eigvalsh(_assemble_batch(cond, rest, _BITS4, _PAR4)),

@@ -3,8 +3,8 @@ r"""Bayesian sign posteriors and the single-point mutual information.
 Given the announced magnitudes and the reconciled homodyne outcome, the
 eight sign triples are a priori equally likely, so their posterior is the
 normalised vector of Gaussian outcome likelihoods.  All marginal and
-conditional sign probabilities, and the pairwise single-point mutual
-information, derive from that eight-entry table.
+conditional sign probabilities, and the single-point mutual information
+I(A:B) of A's and B's signs, derive from that eight-entry table.
 
 Likelihoods are always formed in log space and shifted by their maximum
 before exponentiation, so extreme announcements never produce 0/0.  The
@@ -38,20 +38,11 @@ __all__ = [
     "single_point_mi",
 ]
 
-_PARTIES = {"A": 0, "B": 1, "C": 2}
-
-# Boolean masks over the table order: row t has party x positive iff
-# _POSITIVE[x][t].
-_POSITIVE = [SIGN_PATTERNS[:, x] > 0 for x in range(3)]
+# Boolean masks over the table order: row t has A's (B's) sign positive.
+_A_POS = SIGN_PATTERNS[:, 0] > 0
+_B_POS = SIGN_PATTERNS[:, 1] > 0
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _party_index(party) -> int:
-    try:
-        return _PARTIES[party]
-    except KeyError:
-        raise ValueError(f"unknown party {party!r}; use 'A', 'B' or 'C'") from None
 
 
 @dataclass(frozen=True)
@@ -117,15 +108,14 @@ def sign_posterior_table(mags, gamma: float, params: ProtocolParams) -> Posterio
     return PosteriorTable(posterior_table_batch(*_one_announcement(mags, gamma), params)[0])
 
 
-def single_point_mi(mags, gamma: float, params: ProtocolParams,
-                    pair=("A", "B")) -> float:
-    """Mutual information between two parties' signs given one announcement.
+def single_point_mi(mags, gamma: float, params: ProtocolParams) -> float:
+    """Mutual information I(A:B) between A's and B's signs given one announcement.
 
-    Implements H(k_i) + H(k_j) - H(k_i, k_j) over the posterior, in bits;
+    Implements H(k_A) + H(k_B) - H(k_A, k_B) over the posterior, in bits;
     the one-announcement view of the batched core, clipped to [0, 1].
     """
     table = sign_posterior_table(mags, gamma, params)
-    return float(_mi_with_bound(table.probs[None, :], pair, 0.0)[0][0])
+    return float(_mi_with_bound(table.probs[None, :], 0.0)[0][0])
 
 
 def _eta(x: np.ndarray) -> np.ndarray:
@@ -133,22 +123,20 @@ def _eta(x: np.ndarray) -> np.ndarray:
     return -x * np.log2(np.where(x > 0.0, x, 1.0))
 
 
-def _mi_with_bound(tables: np.ndarray, pair, rel_err) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sign mutual information and a bound on its rounding error.
+def _mi_with_bound(tables: np.ndarray, rel_err) -> tuple[np.ndarray, np.ndarray]:
+    """The sign mutual information I(A:B) and a bound on its rounding error.
 
     ``rel_err`` bounds the relative error of every table entry.  Perturbing
     each joint probability by a relative eps moves every logarithm in
-    H(i) + H(j) - H(i, j) by at most 4*eps/ln 2 and every weight by 2*eps
+    H(A) + H(B) - H(A, B) by at most 4*eps/ln 2 and every weight by 2*eps
     relative, so the information moves by at most eps * (6 + 2*S) with
-    S = H(i) + H(j) + H(i, j).  The bound adds eight ulps to eps and one
+    S = H(A) + H(B) + H(A, B).  The bound adds eight ulps to eps and one
     more S for the rounding of the sums and logarithms themselves.
     """
-    i_pos = _POSITIVE[_party_index(pair[0])]
-    j_pos = _POSITIVE[_party_index(pair[1])]
-    h_i = _eta(tables[:, i_pos].sum(axis=1)) + _eta(tables[:, ~i_pos].sum(axis=1))
-    h_j = _eta(tables[:, j_pos].sum(axis=1)) + _eta(tables[:, ~j_pos].sum(axis=1))
-    h_ij = sum(_eta(tables[:, mask].sum(axis=1))
-               for mask in (i_pos & j_pos, i_pos & ~j_pos, ~i_pos & j_pos, ~i_pos & ~j_pos))
-    mi = np.clip(h_i + h_j - h_ij, 0.0, 1.0)
-    bound = (rel_err + 8.0 * _EPS) * (6.0 + 3.0 * (h_i + h_j + h_ij))
+    a, b = _A_POS, _B_POS
+    h_a = _eta(tables[:, a].sum(axis=1)) + _eta(tables[:, ~a].sum(axis=1))
+    h_b = _eta(tables[:, b].sum(axis=1)) + _eta(tables[:, ~b].sum(axis=1))
+    h_ab = sum(_eta(tables[:, mask].sum(axis=1)) for mask in (a & b, a & ~b, ~a & b, ~a & ~b))
+    mi = np.clip(h_a + h_b - h_ab, 0.0, 1.0)
+    bound = (rel_err + 8.0 * _EPS) * (6.0 + 3.0 * (h_a + h_b + h_ab))
     return mi, bound

@@ -113,10 +113,13 @@ class RelayResult:
         return self.likelihoods[2]
 
 
-def transmissivity_from_distance(distance_km: float, attenuation_exponent: float = 0.02) -> float:
-    """Map a fibre length to a transmissivity via tau = 10**(-g*d)."""
-    if distance_km < 0.0:
-        raise ValueError("distance must be non-negative")
+def transmissivity_from_distance(distance_km: float, attenuation_exponent: float) -> float:
+    """Map a fibre length to a transmissivity via tau = 10**(-g*d).
+
+    A distance that is NaN, infinite or negative raises ValueError naming it.
+    """
+    if not 0.0 <= distance_km < math.inf:
+        raise ValueError(f"distance_km must be finite and non-negative, got {distance_km!r}")
     return 10.0 ** (-attenuation_exponent * distance_km)
 
 

@@ -137,7 +137,7 @@ def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
                 params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I(A:B), chi(A), and a bound on |computed - exact| of I - chi."""
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
-    chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), "A", rel_err)
+    chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), rel_err)
     return mi, chi, _rate_bound(mi, mi_err, chi, chi_err)
 
 
@@ -146,7 +146,7 @@ def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolPara
     """The posterior tables, their relative error bound, and I(A:B) with its bound."""
     tables = posterior_table_batch(mags, gamma, params)
     rel_err = posterior_rel_err(mags, gamma, params)
-    mi, mi_err = _mi_with_bound(tables, ("A", "B"), rel_err)
+    mi, mi_err = _mi_with_bound(tables, rel_err)
     return tables, rel_err, mi, mi_err
 
 
@@ -222,7 +222,7 @@ def _post_selected_rates(mags: np.ndarray, gamma: np.ndarray,
         tables, rel_err, mi, mi_err = _information_terms(mags[tile], gamma[tile], params)
         deficits = overlap_deficits_batch(mags[tile], params)
         live = ~_screened(tables, deficits, rel_err, mi, mi_err)
-        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], "A", rel_err[live])
+        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
         mi = mi[live]
         rate_ps[tile][live] = _keep(mi - chi, _rate_bound(mi, mi_err[live], chi, chi_err))
     return rate_ps
@@ -362,10 +362,10 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     Tensor-product composite Gauss-Legendre over mag_i in [0, 8*sigma_i]
     and the outcome in [-(m_max+8), m_max+8], where m_max is the largest
     outcome mean on the truncated magnitude box; the excluded tail mass
-    is below 1e-15 per axis.  ``nodes_per_axis`` sets the magnitude axes;
-    the outcome axis gets proportionally more nodes to keep the same node
-    density over its longer range.  The integrand weight is the explicit
-    joint announcement density.
+    is below 1e-15 per axis.  ``nodes_per_axis``, an integer of at least
+    8, sets the magnitude axes; the outcome axis gets proportionally more
+    nodes to keep the same node density over its longer range.  The
+    integrand weight is the explicit joint announcement density.
 
     The integrand is even in the outcome: negating it maps the posterior
     table t -> 7 - t (every sign flipped), which leaves I(A:B) unchanged
@@ -382,7 +382,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     grid at 2 km; none at 0 km, where every overlap is 1), with the value
     that ``certified_rates`` on every node gives, bit for bit.
     """
-    if nodes_per_axis < 8:
+    if _integer(nodes_per_axis, "nodes_per_axis") < 8:
         raise ValueError("nodes_per_axis must be at least 8")
     sigma = np.asarray(params.sigma)
     m_max = float(mean_coefficients(params) @ (8.0 * sigma))

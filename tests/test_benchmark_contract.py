@@ -1,14 +1,17 @@
-"""The names the benchmark wraps or calls must exist in the package.
+"""The names the benchmark wraps or calls must exist in the package, and
+accept the calls it makes.
 
 ``perfbench/spans.py`` replaces module attributes of ``cvconf`` by name
 when a run is traced, and ``perfbench/workloads.py`` and ``perfbench/run.py``
 call package functions directly.  A name that a simplification deletes or
-renames would otherwise surface only as a failing benchmark run.
+renames, or whose signature it changes, would otherwise surface only as a
+failing benchmark run.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,31 @@ def test_every_direct_call_resolves(script):
     missing = [f"cvconf.{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(f"cvconf.{module}"), name)]
     assert missing == []
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workloads module, imported from its file with its
+    sibling ``oracle`` module, leaving ``sys.path`` and ``sys.modules`` as they were."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules.pop("oracle", None)
+    return module
+
+
+@pytest.mark.parametrize("name", ["sweep", "quadrature", "single-point"])
+def test_tiny_round_of_each_workload(workloads, name):
+    """One round at the sizes of ``perfbench/run.py --tiny``, in process:
+    every operation succeeds and every check of the round holds."""
+    workload = workloads.WORKLOADS[name](1, True)
+    workload.setup()
+    result = workload.round(0)
+    assert result.complete and result.failed == 0, result.errors
+    checks = workload.check(0, result)
+    assert checks and all(checks.values()), checks

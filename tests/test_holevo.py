@@ -9,7 +9,6 @@ from cvconf.gaussian import make_coherent_product, overlap_trace, pure_loss_tap
 import cvconf.holevo
 from cvconf.holevo import (
     _BITS4,
-    _OTHER_PARTIES,
     _PAR4,
     EveDensityMatrix,
     _assemble_batch,
@@ -161,32 +160,31 @@ class TestAssembleTotalState:
             assert np.max(np.abs(constructed - oracle)) <= 1e-10
 
 
-def conditional_state(table, overlaps, party, sign):
-    """The 4x4 state conditioned on one party's sign, as the Holevo core
-    assembles it (its marginal split, then the remaining parties' overlaps)."""
-    x = "ABC".index(party)
-    _, cond = _condition(table.probs[None, :], x)
-    rest = 1.0 - np.asarray(overlaps, dtype=float)[list(_OTHER_PARTIES[x])]
+def conditional_state(table, overlaps, sign):
+    """The 4x4 state conditioned on A's sign, as the Holevo core assembles
+    it (its marginal split, then B's and C's overlaps)."""
+    _, cond = _condition(table.probs[None, :])
+    rest = 1.0 - np.asarray(overlaps, dtype=float)[1:]
     return EveDensityMatrix(_assemble_batch(cond[0, 0 if sign == 1 else 1], rest, _BITS4, _PAR4))
 
 
 class TestAssembleConditionalState:
     def test_uniform_orthogonal(self):
         table = PosteriorTable(np.full(8, 0.125))
-        rho = conditional_state(table, (0.5, 0.0, 0.0), "A", 1)
+        rho = conditional_state(table, (0.5, 0.0, 0.0), 1)
         assert np.allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-14)
         assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_remaining_overlaps_are_pure(self):
         rng = np.random.default_rng(36)
         table = PosteriorTable(rng.dirichlet(np.ones(8)))
-        rho = conditional_state(table, (0.3, 1.0, 1.0), "A", -1)
+        rho = conditional_state(table, (0.3, 1.0, 1.0), -1)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_marginal_falls_back_to_uniform(self):
         probs = np.zeros(8)
         probs[:4] = 0.25  # A never +1
-        rho = conditional_state(PosteriorTable(probs), (0.5, 0.0, 0.0), "A", 1)
+        rho = conditional_state(PosteriorTable(probs), (0.5, 0.0, 0.0), 1)
         assert np.allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-14)
 
     def test_entropy_matches_four_dim_gram_oracle(self):
@@ -196,17 +194,14 @@ class TestAssembleConditionalState:
             mags, gamma = random_announcement(rng, p)
             table = sign_posterior_table(mags, gamma, p)
             overlaps = eve_overlaps(mags, p)
-            for party, others in (("A", (1, 2)), ("B", (0, 2)), ("C", (0, 1))):
-                x = "ABC".index(party)
-                for sign in (1, -1):
-                    mask = SIGN_PATTERNS[:, x] == sign
-                    marg = table.probs[mask].sum()
-                    if marg <= 0:
-                        continue
-                    rho = conditional_state(table, overlaps, party, sign)
-                    want = gram_oracle_entropy(table.probs[mask] / marg,
-                                               overlaps[list(others)])
-                    assert von_neumann_entropy(rho) == pytest.approx(want, abs=1e-9)
+            for sign in (1, -1):
+                mask = SIGN_PATTERNS[:, 0] == sign
+                marg = table.probs[mask].sum()
+                if marg <= 0:
+                    continue
+                rho = conditional_state(table, overlaps, sign)
+                want = gram_oracle_entropy(table.probs[mask] / marg, overlaps[1:])
+                assert von_neumann_entropy(rho) == pytest.approx(want, abs=1e-9)
 
 
 class TestVonNeumannEntropy:
@@ -323,30 +318,27 @@ class TestSinglePointHolevo:
         assert chi == pytest.approx(0.7211412974922284, abs=1e-11)
 
     @staticmethod
-    def gram_holevo(table, overlaps, x):
-        """chi on party x's sign with both terms from the Gram oracle."""
-        others = [y for y in range(3) if y != x]
+    def gram_holevo(table, overlaps):
+        """chi on A's sign with both terms from the Gram oracle."""
         s_cond = 0.0
         for sign in (1, -1):
-            mask = SIGN_PATTERNS[:, x] == sign
+            mask = SIGN_PATTERNS[:, 0] == sign
             marg = table.probs[mask].sum()
             if marg > 0:
-                s_cond += marg * gram_oracle_entropy(
-                    table.probs[mask] / marg, overlaps[others])
+                s_cond += marg * gram_oracle_entropy(table.probs[mask] / marg, overlaps[1:])
         return gram_oracle_entropy(table.probs, overlaps) - s_cond
 
     def test_equals_gram_oracle_composition(self):
-        """Both Holevo terms, for every party, evaluated through the
-        independent Gram route: the 8x8 and each party's 4x4 states."""
+        """Both Holevo terms evaluated through the independent Gram route:
+        the 8x8 state and A's two 4x4 conditional states."""
         rng = np.random.default_rng(39)
         for _ in range(50):
             p = random_params(rng)
             mags, gamma = random_announcement(rng, p)
             table = sign_posterior_table(mags, gamma, p)
             overlaps = eve_overlaps(mags, p)
-            for x, party in enumerate("ABC"):
-                assert single_point_holevo(mags, gamma, p, party) == pytest.approx(
-                    self.gram_holevo(table, overlaps, x), abs=1e-9)
+            assert single_point_holevo(mags, gamma, p) == pytest.approx(
+                self.gram_holevo(table, overlaps), abs=1e-9)
         # Unit remaining overlaps: A's conditional states are pure, so chi(A)
         # is the total entropy alone.
         p = ProtocolParams(tau=(0.3, 1.0, 1.0))
@@ -355,7 +347,7 @@ class TestSinglePointHolevo:
         overlaps = eve_overlaps(mags, p)
         s_tot = gram_oracle_entropy(table.probs, overlaps)
         assert s_tot > 0.01
-        assert self.gram_holevo(table, overlaps, 0) == pytest.approx(s_tot, abs=1e-12)
+        assert self.gram_holevo(table, overlaps) == pytest.approx(s_tot, abs=1e-12)
         assert single_point_holevo(mags, gamma, p) == pytest.approx(s_tot, abs=1e-9)
 
     def test_bounds_and_subadditivity_direction(self):
@@ -395,7 +387,7 @@ class TestSinglePointHolevo:
         mags = np.abs(rng.normal(0, p.sigma, size=(50, 3)))
         gamma = rng.normal(0, 2, 50)
         tables = posterior_table_batch(mags, gamma, p)
-        batch = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), "A", 0.0)[0]
+        batch = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), 0.0)[0]
         for k in range(50):
             assert batch[k] == pytest.approx(
                 single_point_holevo(mags[k], gamma[k], p), abs=1e-11)
@@ -419,9 +411,8 @@ class TestSinglePointHolevo:
             mags, gamma = random_announcement(rng, p)
             table = sign_posterior_table(mags, gamma, p)
             deficits = overlap_deficits_batch(mags[None, :], p)
-            for party in "ABC":
-                chi = _holevo_with_bound(table.probs[None, :], deficits, party, 0.0)[0][0]
-                assert single_point_holevo(mags, gamma, p, party) == min(max(chi, 0.0), 1.0)
+            chi = _holevo_with_bound(table.probs[None, :], deficits, 0.0)[0][0]
+            assert single_point_holevo(mags, gamma, p) == min(max(chi, 0.0), 1.0)
 
     @pytest.mark.parametrize("convention", ["trace", "amplitude"])
     def test_never_negative_at_unit_transmissivity(self, convention):
@@ -451,13 +442,6 @@ class TestSinglePointHolevo:
         for m, g in zip(mags, gamma):
             assert single_point_holevo(m, g, p) == 0.0
         assert np.all(_rate_terms(mags, gamma, p)[1] == 0.0)
-
-    def test_party_choice_is_respected(self):
-        p = ProtocolParams(tau=(0.4, 0.9, 0.9))
-        mags = (1.5, 0.2, 0.2)
-        chi_a = single_point_holevo(mags, 0.3, p, party="A")
-        chi_b = single_point_holevo(mags, 0.3, p, party="B")
-        assert chi_a > chi_b  # party A leaks far more here
 
 
 class TestEveDensityMatrixType:
@@ -491,7 +475,7 @@ class TestExactZeros:
         p = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention)
         mags, gamma = self.batch(np.random.default_rng(70))
         tables = posterior_table_batch(mags, gamma, p)
-        chi, bound = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), "A", 1e-14)
+        chi, bound = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), 1e-14)
         assert np.array_equal(chi, np.zeros(len(mags)))
         assert np.array_equal(bound, np.zeros(len(mags)))
         assert calls == []
@@ -511,7 +495,7 @@ class TestExactZeros:
         assert want > 0.01
         assert single_point_holevo(mags, gamma, p) == pytest.approx(want, abs=1e-9)
         chi, _ = _holevo_with_bound(table.probs[None, :],
-                                    overlap_deficits_batch(np.array([mags]), p), "A", 0.0)
+                                    overlap_deficits_batch(np.array([mags]), p), 0.0)
         assert chi[0] == pytest.approx(want, abs=1e-9)
 
 
@@ -554,14 +538,14 @@ class TestHolevoCore:
     def test_rejects_bad_trace(self):
         tables = np.full((2, 8), 0.25)  # each row sums to 2
         with pytest.raises(ValueError, match="trace"):
-            _holevo_with_bound(tables, np.full((2, 3), 0.5), "A", 0.0)
+            _holevo_with_bound(tables, np.full((2, 3), 0.5), 0.0)
 
     def test_rejects_negative_eigenvalue(self):
         # With every overlap 0 the total state's spectrum is the table itself.
         probs = np.full(8, 1.1 / 7.0)
         probs[0] = -0.1
         with pytest.raises(ValueError, match="negative"):
-            _holevo_with_bound(probs[None, :], np.ones((1, 3)), "A", 0.0)
+            _holevo_with_bound(probs[None, :], np.ones((1, 3)), 0.0)
 
     @pytest.mark.parametrize("certain_bit", [0, 1])
     def test_certain_sign_matches_gram_composition(self, certain_bit):
@@ -575,6 +559,6 @@ class TestHolevoCore:
             overlaps = rng.uniform(0.05, 0.95, 3)
             want = gram_oracle_entropy(probs, overlaps) - gram_oracle_entropy(
                 probs[known], overlaps[1:])
-            chi, bound = _holevo_with_bound(probs[None, :], 1.0 - overlaps[None, :], "A", 0.0)
+            chi, bound = _holevo_with_bound(probs[None, :], 1.0 - overlaps[None, :], 0.0)
             assert chi[0] == pytest.approx(want, abs=1e-9)
             assert np.isfinite(bound[0]) and bound[0] >= 0.0

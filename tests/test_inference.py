@@ -92,58 +92,53 @@ class TestPosteriorTable:
             assert np.allclose(got.probs, want, atol=1e-12)
 
 
-def conditioned(probs, party):
-    """Party x's sign marginals (+1, -1) and conditional weights from the core."""
-    marginal, cond = _condition(np.asarray(probs, dtype=float)[None, :], "ABC".index(party))
+def conditioned(probs):
+    """A's sign marginals (+1, -1) and the conditional weights from the core."""
+    marginal, cond = _condition(np.asarray(probs, dtype=float)[None, :])
     return marginal[0], cond[0]
 
 
-def other_index(signs, party):
-    """Row of a conditional table: the two other parties' bits in A, B, C order."""
-    bits = [int(s > 0) for x, s in enumerate(signs) if x != "ABC".index(party)]
-    return 2 * bits[0] + bits[1]
+def other_index(signs):
+    """Row of a conditional table: B's and C's bits."""
+    return 2 * int(signs[1] > 0) + int(signs[2] > 0)
 
 
 class TestMarginalsAndConditionals:
-    """The sign marginals and conditionals of the Holevo core (``_condition``)."""
+    """A's sign marginals and conditionals in the Holevo core (``_condition``)."""
 
     def test_uniform_marginal_is_half(self):
-        for party in ("A", "B", "C"):
-            marginal, _ = conditioned(np.full(8, 0.125), party)
-            assert marginal == pytest.approx([0.5, 0.5], abs=1e-15)
+        marginal, _ = conditioned(np.full(8, 0.125))
+        assert marginal == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_concentrated_table(self):
         probs = np.zeros(8)
         probs[7] = 1.0  # (+,+,+)
-        for party in ("A", "B", "C"):
-            marginal, cond = conditioned(probs, party)
-            assert marginal[0] == 1.0 and marginal[1] == 0.0
-            assert list(cond[0]) == [0.0, 0.0, 0.0, 1.0]
-            assert list(cond[1]) == [0.25] * 4  # zero marginal: uniform fallback
+        marginal, cond = conditioned(probs)
+        assert marginal[0] == 1.0 and marginal[1] == 0.0
+        assert list(cond[0]) == [0.0, 0.0, 0.0, 1.0]
+        assert list(cond[1]) == [0.25] * 4  # zero marginal: uniform fallback
 
     def test_marginal_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             probs = rng.dirichlet(np.ones(8))
-            for x, party in enumerate("ABC"):
-                marginal, _ = conditioned(probs, party)
-                for k, sign in enumerate((1, -1)):
-                    want = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[x] == sign)
-                    assert marginal[k] == pytest.approx(want, abs=1e-12)
+            marginal, _ = conditioned(probs)
+            for k, sign in enumerate((1, -1)):
+                want = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[0] == sign)
+                assert marginal[k] == pytest.approx(want, abs=1e-12)
 
     def test_uniform_conditional_is_half(self):
-        for party in ("A", "B", "C"):
-            _, cond = conditioned(np.full(8, 0.125), party)
-            assert cond == pytest.approx(np.full((2, 4), 0.25), abs=1e-15)
-            # Either other party is +1 in two of the four rows.
-            assert cond[0, 2] + cond[0, 3] == pytest.approx(0.5, abs=1e-15)
+        _, cond = conditioned(np.full(8, 0.125))
+        assert cond == pytest.approx(np.full((2, 4), 0.25), abs=1e-15)
+        # B is +1 in two of the four rows.
+        assert cond[0, 2] + cond[0, 3] == pytest.approx(0.5, abs=1e-15)
 
     def test_perfectly_correlated_conditional(self):
         probs = np.zeros(8)
         probs[7] = 0.5  # (+,+,+)
         probs[0] = 0.5  # (-,-,-)
-        _, cond = conditioned(probs, "B")
-        # Rows over (A, C): given B = +1, A is +1 (rows 2, 3) with certainty.
+        _, cond = conditioned(probs)
+        # Rows over (B, C): given A = +1, B is +1 (rows 2, 3) with certainty.
         assert cond[0, 2] + cond[0, 3] == 1.0
         assert cond[1, 2] + cond[1, 3] == 0.0
 
@@ -151,21 +146,20 @@ class TestMarginalsAndConditionals:
         rng = np.random.default_rng(24)
         for _ in range(30):
             probs = rng.dirichlet(np.ones(8))
-            for x, party in enumerate("ABC"):
-                _, cond = conditioned(probs, party)
-                for k, sign in enumerate((1, -1)):
-                    den = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[x] == sign)
-                    want = np.zeros(4)
-                    for pr, s in zip(probs, SIGN_PATTERNS):
-                        if s[x] == sign:
-                            want[other_index(s, party)] += pr / den
-                    assert cond[k] == pytest.approx(want, abs=1e-12)
+            _, cond = conditioned(probs)
+            for k, sign in enumerate((1, -1)):
+                den = sum(pr for pr, s in zip(probs, SIGN_PATTERNS) if s[0] == sign)
+                want = np.zeros(4)
+                for pr, s in zip(probs, SIGN_PATTERNS):
+                    if s[0] == sign:
+                        want[other_index(s)] += pr / den
+                assert cond[k] == pytest.approx(want, abs=1e-12)
 
     def test_zero_marginal_returns_half(self):
         """A zero conditioning marginal falls back to the uniform conditional."""
         probs = np.zeros(8)
         probs[:4] = 0.25  # A is always -1
-        marginal, cond = conditioned(probs, "A")
+        marginal, cond = conditioned(probs)
         assert marginal[0] == 0.0
         assert list(cond[0]) == [0.25] * 4
         assert cond[0, 2] + cond[0, 3] == 0.5  # B = +1 given A = +1
@@ -176,7 +170,7 @@ def correlated_mi(p):
     probs = np.zeros(8)
     probs[7] = p        # (+,+,+)
     probs[0] = 1.0 - p  # (-,-,-)
-    return float(_mi_with_bound(probs[None, :], ("A", "B"), 0.0)[0][0])
+    return float(_mi_with_bound(probs[None, :], 0.0)[0][0])
 
 
 class TestBinaryEntropy:
@@ -239,30 +233,8 @@ class TestSinglePointMi:
         means = (mags * mean_coefficients(p)) @ SIGN_PATTERNS.T
         gamma = rng.normal(means[:, 0], 1.0)
         tables = posterior_table_batch(mags, gamma, p)
-        mi = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
+        mi = _mi_with_bound(tables, 0.0)[0]
         assert np.all(mi >= 0.0) and np.all(mi <= 1.0)
-
-    def test_pair_symmetry(self):
-        rng = np.random.default_rng(27)
-        for _ in range(40):
-            p = random_params(rng)
-            mags, gamma = random_announcement(rng, p)
-            ab = single_point_mi(mags, gamma, p, pair=("A", "B"))
-            ba = single_point_mi(mags, gamma, p, pair=("B", "A"))
-            assert ab == pytest.approx(ba, abs=1e-12)
-
-    def test_symmetric_configuration_equalises_pairs(self):
-        rng = np.random.default_rng(28)
-        p = ProtocolParams(tau=(0.8, 0.8, 0.8), sigma=(1.0, 1.0, 1.0))
-        for _ in range(40):
-            mag = abs(rng.normal(0, 1.0))
-            mags = (mag, mag, mag)
-            gamma = rng.normal(0, 2)
-            ab = single_point_mi(mags, gamma, p, pair=("A", "B"))
-            ac = single_point_mi(mags, gamma, p, pair=("A", "C"))
-            bc = single_point_mi(mags, gamma, p, pair=("B", "C"))
-            assert ab == pytest.approx(ac, abs=1e-12)
-            assert ab == pytest.approx(bc, abs=1e-12)
 
     def test_outcome_parity(self):
         rng = np.random.default_rng(29)
@@ -282,7 +254,7 @@ class TestSinglePointMi:
         mix = np.exp(-0.5 * (gammas[:, None] - means) ** 2).sum(axis=1) \
             / (8.0 * math.sqrt(2 * math.pi))
         tables = posterior_table_batch(np.tile(mags, (gammas.size, 1)), gammas, p)
-        mi = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
+        mi = _mi_with_bound(tables, 0.0)[0]
         avg = np.trapezoid(mix * mi, gammas) / np.trapezoid(mix, gammas)
         assert -1e-6 <= avg <= 1.0 + 1e-6
 
@@ -292,7 +264,7 @@ class TestSinglePointMi:
         mags = np.abs(rng.normal(0, p.sigma, size=(50, 3)))
         gamma = rng.normal(0, 2, 50)
         tables = posterior_table_batch(mags, gamma, p)
-        batch = _mi_with_bound(tables, ("A", "B"), 0.0)[0]
+        batch = _mi_with_bound(tables, 0.0)[0]
         for k in range(50):
             assert batch[k] == pytest.approx(
                 single_point_mi(mags[k], gamma[k], p), abs=1e-13)

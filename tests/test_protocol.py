@@ -73,7 +73,7 @@ class TestProtocolParams:
 
 class TestTransmissivityFromDistance:
     def test_zero_distance(self):
-        assert transmissivity_from_distance(0.0) == 1.0
+        assert transmissivity_from_distance(0.0, 0.02) == 1.0
 
     def test_fifty_km(self):
         assert transmissivity_from_distance(50.0, 0.02) == pytest.approx(0.1, rel=1e-14)
@@ -85,7 +85,15 @@ class TestTransmissivityFromDistance:
 
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError, match="distance"):
-            transmissivity_from_distance(-1.0)
+            transmissivity_from_distance(-1.0, 0.02)
+
+    @pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_distance(self, distance):
+        """Named here, rather than later as an out-of-range transmissivity."""
+        with pytest.raises(ValueError, match="distance_km must be finite and non-negative"):
+            transmissivity_from_distance(distance, 0.02)
+        with pytest.raises(ValueError, match="distance_km"):
+            ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
 
 
 class TestMeanCoefficients:

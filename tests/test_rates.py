@@ -550,9 +550,11 @@ class TestQuadratureCrossCheck:
         assert coarse.value == pytest.approx(fine.value, rel=1e-3)
 
     def test_rejects_too_few_nodes(self):
+        """A count below 8, or one that is not an integer, is named."""
         p = ProtocolParams(tau=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="nodes_per_axis"):
-            quadrature_cross_check(p, nodes_per_axis=4)
+        for bad in (4, 16.5, "16", None):
+            with pytest.raises(ValueError, match="nodes_per_axis"):
+                quadrature_cross_check(p, nodes_per_axis=bad)
 
 
 class TestSweepDistance:
@@ -603,5 +605,5 @@ def test_weights_shrink_with_distance():
     template = ProtocolParams(tau=(1.0, 1.0, 1.0))
     w0 = mean_coefficients(template.at_distance(0.0))
     w5 = mean_coefficients(template.at_distance(5.0))
-    tau5 = transmissivity_from_distance(5.0)
+    tau5 = transmissivity_from_distance(5.0, template.attenuation_exponent)
     assert np.allclose(w5, w0 * math.sqrt(tau5), atol=1e-14)
