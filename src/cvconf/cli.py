@@ -113,6 +113,13 @@ class RunConfig:
             raise ConfigError(f"format: must be csv or json, got {self.format!r}")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
+        # The farthest distance has the smallest transmissivity; one that
+        # underflows to 0 is named here rather than as a bad tau later.
+        key = "d_max" if self.distances is None else "distances"
+        try:
+            self.params_at(max(self.distance_grid()))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         if self.mags is not None and (len(self.mags) != 3 or not all(
                 0 <= m < math.inf for m in self.mags)):
             raise ConfigError("mags: must be three finite non-negative values")

@@ -96,10 +96,13 @@ _BITS4 = np.array([[(t >> 1) & 1, t & 1] for t in range(4)], dtype=float)
 _PAR8 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS8[:, None, :] - _BITS8[None, :, :]), _BITS8)
 _PAR4 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS4[:, None, :] - _BITS4[None, :, :]), _BITS4)
 
+# r XOR c over the 4x4 basis.  PAR[r, c, t] = (-1)^popcount(t & (r ^ c)),
+# so the parity sums of a row depend on (r, c) through r ^ c alone.
+_XOR4 = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+
 # Table rows with A = +1, then A = -1, each holding (B, C) in binary
-# order.  Keep it a fancy index: weights taken through the equal view
-# tables.reshape(-1, 2, 4)[:, ::-1] reach _assemble_batch's einsum with
-# other strides, which then sums in another order and changes low bits.
+# order.  The fancy index lays the weights out differently for one row
+# and for many; :func:`_parity_sums` sums them the same way for both.
 _A_ROWS = np.array([[4, 5, 6, 7], [0, 1, 2, 3]])
 
 
@@ -178,8 +181,28 @@ def _assemble_batch(weights: np.ndarray, deficits: np.ndarray,
     """Density matrices (..., d, d) from sign weights (..., d) and overlap
     deficits (..., k), broadcast over the leading axes."""
     cvec = _coefficient_vectors(deficits, bits)
-    lam = np.einsum("rct,...t->...rc", parity, weights)
-    return cvec[..., :, None] * cvec[..., None, :] * lam
+    return cvec[..., :, None] * cvec[..., None, :] * _parity_sums(weights, parity)
+
+
+def _parity_sums(weights: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """lam[..., r, c] = sum_t parity[r, c, t] * weights[..., t], in an order
+    that does not depend on the rows batched with a row.
+
+    einsum's summation order follows the operands' memory layout.  The 8x8
+    weights are C-contiguous (n, 8) tables for every n, so einsum sums them
+    one way.  The 4x4 weights come from :func:`_condition`'s fancy index,
+    laid out batch-innermost for n >= 2 but in C order for n = 1, and einsum
+    sums those two layouts in different orders, which would put a row's chi
+    alone an ulp off its chi in a batch.  So the 4x4 sums add t = 0, 1, 2, 3
+    in turn, the order einsum takes for n >= 2: the four distinct sums of a
+    row (one per r ^ c) first, then spread over r and c.
+    """
+    if weights.shape[-1] == 8:
+        return np.einsum("rct,...t->...rc", parity, weights)
+    sums = weights[..., 0, None] * parity[0, :, 0]
+    for t in range(1, 4):
+        sums = sums + weights[..., t, None] * parity[0, :, t]
+    return sums[..., _XOR4]
 
 
 def _condition(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -116,11 +116,17 @@ class RelayResult:
 def transmissivity_from_distance(distance_km: float, attenuation_exponent: float) -> float:
     """Map a fibre length to a transmissivity via tau = 10**(-g*d).
 
-    A distance that is NaN, infinite or negative raises ValueError naming it.
+    A distance that is NaN, infinite or negative raises ValueError naming it,
+    and so does one so far that tau underflows to 0 (beyond about 16 000 km
+    at 0.2 dB/km).
     """
     if not 0.0 <= distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and non-negative, got {distance_km!r}")
-    return 10.0 ** (-attenuation_exponent * distance_km)
+    tau = 10.0 ** (-attenuation_exponent * distance_km)
+    if tau == 0.0:
+        raise ValueError(f"distance_km {distance_km!r} is too far: the transmissivity "
+                         f"10**(-{attenuation_exponent!r} * distance_km) underflows to 0")
+    return tau
 
 
 def mean_coefficients(params: ProtocolParams) -> np.ndarray:

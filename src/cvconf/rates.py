@@ -29,8 +29,8 @@ results are bit-identical for any degree of parallelism.
 A deterministic tensor-product quadrature over the truncated announcement
 domain, using the explicit joint density as weight, cross-validates the
 estimator.  It needs only the post-selected part, so it skips the
-spectra of rows whose rate a closed-form lower bound on chi(A) proves
-negative (:func:`_post_selected_rates`), bit-identically.
+spectra of rows that a closed-form lower bound on chi(A) proves the
+certified rule cannot keep (:func:`_post_selected_rates`), bit-identically.
 """
 
 from __future__ import annotations
@@ -193,28 +193,68 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
 
 
 def _screened(tables: np.ndarray, deficits: np.ndarray, rel_err, mi, mi_err) -> np.ndarray:
-    """Rows whose exact rate I - chi(A) is provably negative, without spectra.
+    """Rows the certified keep rule provably cannot keep, found without spectra.
 
-    chi(A) >= chi(A; E_A), which has a closed form
-    (:func:`~cvconf.holevo._own_tap_holevo_with_bound`), so I - chi(A; E_A)
-    bounds the rate from above.  Its computed value below minus its bound
-    (the keep rule of :func:`certified_rates`, mirrored) makes it exactly
-    negative, and then the certified rule cannot keep the row.  A NaN
-    anywhere leaves the row unscreened, for the spectra's checks to reject.
+    A row is screened when ``mi - chi_low + chi_low_err <= mi_err / 2``,
+    where chi_low = chi(A; E_A) has a closed form with the bound chi_low_err
+    (:func:`~cvconf.holevo._own_tap_holevo_with_bound`).  A NaN anywhere
+    leaves the row unscreened, for the spectra's checks to reject.
+
+    Why no such row is kept.  Write u = eps/2 for the unit roundoff, c and
+    e for the chi(A) and bound that the core would compute, and
+    D = mi - chi_low + chi_low_err exactly.  Then c >= chi(A) - e >=
+    chi(A; E_A) - e >= chi_low - chi_low_err - e: discarding E_B and E_C
+    cannot raise Holevo information.  The keep rule ``fl(mi - c) >
+    fl(_rate_bound)`` needs mi > c, so its left side is at most
+    (1 + u)(D + e).  Its right side adds mi_err, e and an ulp term of at
+    least -eps e (c >= -e), so it is at least (1 - u)**2 (mi_err + e) -
+    2u (1 + 3u) e.  Keeping therefore needs
+
+        (1 + u) D > (1 - u)**2 mi_err - 6u e,
+
+    in which the unknown e cancels but for its roundings, and these need
+    an a-priori cap.  Each eigenvalue's term of a bound from
+    :func:`~cvconf.holevo._entropy_with_bound` is at most the peak 0.531
+    of -x*log2(x), since both its ends lie in [0, peak]: at most 8 peaks
+    for the total state and 4 for each conditional one, whose marginals sum
+    to 1.  Each entropy is at most as many peaks, so the ``rel`` terms add
+    at most 4 peaks times rel = rel_err + 32 ulps.  Hence e < 7 (1 + rel)
+    and 6u e < 22 eps (1 + rel_err).  On the screen's side,
+    fl(mi - chi_low) is off by at most u |mi - chi_low| <= 1.07u (mi is
+    clipped to [0, 1] and chi_low, two entropy terms, is at most 1.07),
+    adding chi_low_err rounds once more, and halving mi_err is exact; so a
+    screened row has D <= mi_err / (2 (1 - u)) + 1.07u.  Together with
+    the keep condition that gives
+
+        mi_err ((1 - u)**2 - (1 + u) / (2 (1 - u))) < 6u e + 1.07u (1 + u),
+
+    whose left factor exceeds 0.49: keeping would need 0.49 mi_err <
+    23 eps + 22 eps rel_err.  But :func:`~cvconf.inference._mi_with_bound`
+    gives mi_err >= 6 (rel_err + 8 eps) less its own roundings, with
+    rel_err >= 16 eps (:func:`~cvconf.inference.posterior_rel_err`), so
+    0.49 mi_err > 47 eps + 1.4 rel_err: no screened row is kept.  The
+    margin mi_err / 2 leaves half of mi_err for these roundings.
+
+    Asking only whether chi(A; E_A) proves the exact rate negative would
+    leave the rows whose rate lies within its own bound (the grid's tail,
+    where I and chi are both tiny) to spectra that then drop them.
     """
     chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
-    return mi - chi_low < -_rate_bound(mi, mi_err, chi_low, chi_low_err)
+    return mi - chi_low + chi_low_err <= mi_err / 2.0
 
 
 def _post_selected_rates(mags: np.ndarray, gamma: np.ndarray,
                          params: ProtocolParams) -> np.ndarray:
     """``certified_rates(mags, gamma, params)[1]``, bit for bit, with no
-    spectra for the rows :func:`_screened` proves negative.
+    spectra for the rows :func:`_screened` proves the keep rule cannot keep.
 
     Per tile, the information half runs on every row and chi(A) on the
-    unscreened rows only, each with the value :func:`certified_rates`
-    computes (see its docstring for the one exception); a screened row gets
-    the 0.0 it would get there.  The raw rate would need chi on every row.
+    unscreened rows only.  A row's chi does not depend on the rows computed
+    with it, so each gets the value :func:`certified_rates` computes (see
+    its docstring for the one exception), even as its tile's only
+    unscreened row; a screened row gets the 0.0 it would get there.  At
+    2 km that leaves about 3% of the quadrature's nodes to the spectra.
+    The raw rate would need chi on every row.
     """
     rate_ps = np.zeros(len(gamma))
     for start in range(0, len(gamma), _TILE):
@@ -378,9 +418,9 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     full symmetric rule.
 
     The nodes go through :func:`_post_selected_rates`, which computes no
-    spectra where chi(A; E_A) proves the rate negative (58% of the 16-node
-    grid at 2 km; none at 0 km, where every overlap is 1), with the value
-    that ``certified_rates`` on every node gives, bit for bit.
+    spectra where chi(A; E_A) proves the certified rule cannot keep the
+    node (97% of the 16-node grid at 2 km), with the value that
+    ``certified_rates`` on every node gives, bit for bit.
     """
     if _integer(nodes_per_axis, "nodes_per_axis") < 8:
         raise ValueError("nodes_per_axis must be at least 8")

@@ -133,6 +133,9 @@ class TestConfigHandling:
         (["--distances", "1", "--gamma", "1e155"], "gamma"),
         (["--mags", "1e200,1,1"], "mags"),
         (["--samples", "1000000000000000000000000000000"], "samples"),
+        (["--distances", "20000"], "distances"),
+        (["--distances", "1,20000"], "distances"),
+        (["--d-max", "20000", "--d-step", "100"], "d_max"),
     ])
     def test_invalid_flags_exit_with_diagnostic(self, argv, key, capsys):
         code, _, err = run_cli(["--mode", "point", "--mags", "0,0,0"] + argv, capsys)
@@ -183,7 +186,7 @@ class TestPointMode:
          "holevo = 0\nrate = 0.0087272014681170074\n"),
         (["--mags", "1.5,0.7,1.2", "--gamma", "0.4", "--distances", "2"],
          "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.027011376947666976\n"
-         "holevo = 0.44810078306790846\nrate = -0.42108940612024148\n"),
+         "holevo = 0.44810078306790857\nrate = -0.42108940612024159\n"),
         (["--mags", "1.5,0.7,1.2", "--gamma", "0.4", "--distances", "2",
           "--convention", "amplitude"],
          "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.027011376947666976\n"

@@ -392,6 +392,23 @@ class TestSinglePointHolevo:
             assert batch[k] == pytest.approx(
                 single_point_holevo(mags[k], gamma[k], p), abs=1e-11)
 
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_equals_its_row_in_a_batch(self, convention):
+        """An announcement's chi does not depend on the rows evaluated with
+        it: alone it gets its row's value in a batch, bit for bit (projected
+        onto [0, 1]).  The conditional weights once reached the 4x4 parity
+        sums in another memory layout for one row than for many."""
+        rng = np.random.default_rng(47)
+        for _ in range(4):
+            p = random_params(rng, overlap_convention=convention)
+            wide = rng.choice([1.0, 3.0], (100, 1))
+            mags = np.abs(rng.normal(0.0, p.sigma, size=(100, 3))) * wide
+            gamma = rng.normal((rng.choice([-1.0, 1.0], (100, 3)) * mags) @ mean_coefficients(p))
+            tables = posterior_table_batch(mags, gamma, p)
+            batch = _holevo_with_bound(tables, overlap_deficits_batch(mags, p), 0.0)[0]
+            alone = [single_point_holevo(m, g, p) for m, g in zip(mags, gamma)]
+            assert alone == [min(max(chi, 0.0), 1.0) for chi in batch]
+
     def test_out_of_range_raises(self, monkeypatch):
         """The range check raises ValueError, so it also holds under
         ``python -O``, which strips assertions."""

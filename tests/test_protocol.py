@@ -95,6 +95,15 @@ class TestTransmissivityFromDistance:
         with pytest.raises(ValueError, match="distance_km"):
             ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
 
+    def test_rejects_distance_whose_transmissivity_underflows(self):
+        """Beyond about 16 000 km at 0.2 dB/km, tau underflows to 0: named as
+        the distance, rather than later as an out-of-range transmissivity."""
+        assert transmissivity_from_distance(16_000.0, 0.02) > 0.0
+        with pytest.raises(ValueError, match="distance_km 20000.0 is too far"):
+            transmissivity_from_distance(20_000.0, 0.02)
+        with pytest.raises(ValueError, match="distance_km"):
+            ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(20_000.0)
+
 
 class TestMeanCoefficients:
     def test_unit_transmissivity_is_balanced(self):

@@ -27,7 +27,9 @@ from cvconf.rates import (
     sweep_distance,
     _TILE,
     _information_terms,
+    _mc_block,
     _post_selected_rates,
+    _rate_bound,
     _rate_terms,
     _screened,
 )
@@ -79,6 +81,34 @@ def _screen(mags, gamma, params):
     """The rows that the quadrature's loop screens out before their spectra."""
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
     return _screened(tables, overlap_deficits_batch(mags, params), rel_err, mi, mi_err)
+
+
+def _own_tap_terms(mags, gamma, params):
+    """I(A:B) and chi(A; E_A), each with its bound, as the screen sees them."""
+    tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
+    chi_low, chi_low_err = _own_tap_holevo_with_bound(
+        tables, overlap_deficits_batch(mags, params), rel_err)
+    return mi, mi_err, chi_low, chi_low_err
+
+
+def _proves_negative(mi, mi_err, chi_low, chi_low_err):
+    """Rows whose exact rate chi(A; E_A) proves negative: a narrower test than
+    the screen's, which asks whether the certified rule can keep a row."""
+    return mi - chi_low < -_rate_bound(mi, mi_err, chi_low, chi_low_err)
+
+
+def _grid_points(params, nodes_per_axis):
+    """The (magnitudes, outcomes) at which the quadrature evaluates its integrand."""
+    chunks = []
+
+    def recording(mags, gamma, params):
+        chunks.append((mags.copy(), gamma.copy()))
+        return np.zeros(len(gamma))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cvconf.rates, "_post_selected_rates", recording)
+        quadrature_cross_check(params, nodes_per_axis=nodes_per_axis)
+    return np.concatenate([m for m, _ in chunks]), np.concatenate([g for _, g in chunks])
 
 
 class TestSinglePointRate:
@@ -333,6 +363,8 @@ class TestCertifiedDecision:
         err = _rate_terms(mags, gamma, params)[2]
         kept = rate_ps > 0.0
         screened = _screen(mags, gamma, params)
+        mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
+        proved_negative = _proves_negative(mi, mi_err, chi_low, chi_low_err)
         if kept_any:
             assert kept.any()
         else:
@@ -348,10 +380,19 @@ class TestCertifiedDecision:
             # Signs from the 60-digit values: some screened rates lie below
             # the smallest float and would round to -0.0.
             negative = np.array([v < 0 for v in exact_mp])
+            # The screen's ceiling on the exact rate, summed exactly:
+            # I <= mi + mi_err and chi(A) >= chi(A; E_A) >= chi_low - chi_low_err.
+            below_ceiling = np.array([
+                v <= (mp.mpf(float(mi[k])) + mp.mpf(float(mi_err[k]))
+                      - mp.mpf(float(chi_low[k])) + mp.mpf(float(chi_low_err[k])))
+                for v, k in zip(exact_mp, picks)])
         exact = np.array([float(v) for v in exact_mp])
         assert np.all(np.abs(rate[picks] - exact) <= err[picks])
         assert np.all(exact[kept[picks]] > 0.0)
-        assert np.all(negative[screened[picks]])
+        assert np.all(negative[(screened & proved_negative)[picks]])
+        undecided = (screened & ~proved_negative)[picks]
+        assert np.all(rate_ps[picks][undecided] == 0.0)
+        assert np.all(below_ceiling[undecided])
 
     def test_certified_rates_keep_only_beyond_bound(self):
         p = ProtocolParams(tau=(0.9, 0.9, 0.9))
@@ -400,7 +441,8 @@ class TestCertifiedDecision:
 
 class TestScreen:
     """The quadrature's loop skips the spectra of rows that chi(A; E_A) proves
-    negative, and returns the post-selected part of certified_rates bit for bit."""
+    the certified rule cannot keep, and returns the post-selected part of
+    certified_rates bit for bit."""
 
     @pytest.fixture
     def chi_rows(self, monkeypatch):
@@ -443,7 +485,7 @@ class TestScreen:
         assert (rate_ps > 0.0).any()
 
     def test_grid_equals_certified_rates(self, monkeypatch):
-        """Every chunk of an 8-node grid at 2 km, about half of it screened."""
+        """Every chunk of an 8-node grid at 2 km, over 90% of it screened."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
         shares = []
 
@@ -456,7 +498,7 @@ class TestScreen:
         monkeypatch.setattr(cvconf.rates, "_post_selected_rates", checking)
         quad = quadrature_cross_check(params, nodes_per_axis=8)
         assert quad.value > 0.0
-        assert shares and 0.3 < np.mean(shares) < 0.9
+        assert shares and np.mean(shares) > 0.9
 
     def test_tile_with_every_row_screened(self, chi_rows):
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
@@ -468,14 +510,81 @@ class TestScreen:
         assert chi_rows == [0]
         assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
 
-    def test_zero_km_tile_screens_nothing(self, chi_rows):
-        """At unit transmissivity chi(A; E_A) is 0, so no row can be screened."""
+    def test_zero_km_tile_screens_only_rows_within_their_bound(self, chi_rows):
+        """At unit transmissivity chi(A; E_A) is 0, so only rows whose I lies
+        within its own bound can be screened."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0))
         mags, gamma = _mixture_draws(params, _TILE, seed=68)
         rate_ps = _post_selected_rates(mags, gamma, params)
-        assert chi_rows == [_TILE]
+        screened = _screen(mags, gamma, params)
+        _, _, mi, mi_err = _information_terms(mags, gamma, params)
+        assert chi_rows == [np.count_nonzero(~screened)]
+        assert np.all(mi[screened] <= mi_err[screened])
         assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
         assert (rate_ps > 0.0).any()
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_tiles_with_one_live_row(self, convention, chi_rows):
+        """A row's chi is that of the tile it sits in, even where it is the
+        tile's only unscreened row and so reaches the spectra alone."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(2.0)
+        mags, gamma = _mixture_draws(params, 2 * _TILE, seed=69)
+        screened = _screen(mags, gamma, params)
+        filler = np.flatnonzero(screened)[:_TILE - 1]
+        _, want = certified_rates(mags, gamma, params)
+        live = np.flatnonzero(~screened)
+        picks = np.concatenate([np.flatnonzero(want > 0.0)[:4], live[want[live] == 0.0][:4]])
+        assert len(picks) == 8
+        for k, row in enumerate(picks):
+            tile = np.insert(filler, 500 * k, row)
+            chi_rows.clear()
+            rate_ps = _post_selected_rates(mags[tile], gamma[tile], params)
+            assert chi_rows == [1]
+            assert np.array_equal(rate_ps, want[tile])
+
+    def test_sampler_block_equals_certified_rates(self, monkeypatch):
+        """Draws of one sampler block (Philox key (11, 3), amplitude, 3 km)
+        in which one tile once had a single unscreened row whose chi moved."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention="amplitude"
+                                ).at_distance(3.0)
+        draws = []
+
+        def recording(mags, gamma, params):
+            draws.append((mags, gamma))
+            return certified_rates(mags, gamma, params)
+
+        monkeypatch.setattr(cvconf.rates, "certified_rates", recording)
+        _mc_block((11, 3, 2 * _TILE + 37, params))
+        (mags, gamma), = draws
+        assert np.array_equal(_post_selected_rates(mags, gamma, params),
+                              certified_rates(mags, gamma, params)[1])
+
+    def test_grid_spectra_for_few_rows(self, chi_rows):
+        """At most 5% of the 16-node grid at 2 km reaches the spectra."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
+        quad = quadrature_cross_check(params, nodes_per_axis=16)
+        assert 0 < sum(chi_rows) <= 0.05 * quad.n_samples / 2
+
+    @pytest.mark.parametrize("convention, distance", [
+        ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
+    def test_closest_kept_grid_rows_are_not_screened(self, convention, distance):
+        """The 20 kept rows of the 24-node grid with the smallest margin
+        rate - err.  Rows that chi(A; E_A) proves negative are left out of
+        the search; the certified rule cannot keep them."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        mags, gamma = _grid_points(params, 24)
+        open_rows = np.flatnonzero(~_proves_negative(*_own_tap_terms(mags, gamma, params)))
+        mags, gamma = mags[open_rows], gamma[open_rows]
+        rate, rate_ps = certified_rates(mags, gamma, params)
+        kept = np.flatnonzero(rate_ps > 0.0)
+        err = _rate_terms(mags[kept], gamma[kept], params)[2]
+        closest = kept[np.argsort(rate[kept] - err)[:20]]
+        assert len(closest) == 20
+        assert not _screen(mags[closest], gamma[closest], params).any()
+        assert np.array_equal(_post_selected_rates(mags[closest], gamma[closest], params),
+                              rate_ps[closest])
 
 
 class TestOutcomeMirror:
