@@ -10,8 +10,9 @@ Three modes:
     user-supplied announcement (magnitudes and outcome).
 ``validate``
     The built-in oracle suites, on the draws of acceptance criteria 5 and
-    4: the phase-space pipeline against the analytic outcome density, and
-    the Gram spectrum against the constructed density matrices.
+    4: the phase-space pipeline against the outcome likelihood both rate
+    estimators use, and the Gram spectrum against the constructed density
+    matrices.
 
 Options may also be given in a flat ``key = value`` config file; explicit
 flags take precedence over the file, which takes precedence over the
@@ -300,8 +301,10 @@ def _run_point(config: RunConfig, stdout: io.TextIOBase) -> int:
 def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float]:
     """One random relay run through the phase-space pipeline against the model.
 
-    Returns the outcome density's relative error against the analytic one,
-    and for the eavesdropper's state: the largest deviation of its covariance
+    Returns the relative error of the pipeline's outcome density against
+    ``outcome_density``, the one-announcement view of the outcome model that
+    both estimators' posterior and the quadrature's weight are built on, and
+    for the eavesdropper's state: the largest deviation of its covariance
     from the identity and of its p-means from the analytic means, and its
     smallest symplectic eigenvalue.  Acceptance criterion 5 draws from here.
     """
@@ -325,7 +328,7 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
 
 
 def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
-    """Phase-space pipeline against the analytic density; returns (passed, total)."""
+    """Phase-space pipeline against the outcome likelihood; returns (passed, total)."""
     passed = 0
     for _ in range(n_draws):
         rel, cov_dev, mean_dev, min_nu = _pipeline_check(rng)

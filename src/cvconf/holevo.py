@@ -89,7 +89,15 @@ _ETA_PEAK = 1.0 / (math.e * math.log(2.0))
 
 # Sign bits per table row (1 for +1), A most significant.
 _BITS8 = ((SIGN_PATTERNS + 1.0) / 2.0)                       # (8, 3)
-_BITS4 = np.array([[(t >> 1) & 1, t & 1] for t in range(4)], dtype=float)
+
+# Table rows with A = +1, then A = -1, each holding (B, C) in the table's
+# order.  The fancy index lays the weights out differently for one row
+# and for many; :func:`_parity_sums` sums them the same way for both.
+_A_ROWS = np.stack([np.flatnonzero(SIGN_PATTERNS[:, 0] > 0),
+                    np.flatnonzero(SIGN_PATTERNS[:, 0] < 0)])
+
+# (B, C) sign bits of the 4x4 basis: those of A's rows, in the same order.
+_BITS4 = _BITS8[_A_ROWS[0], 1:]
 
 # Parity tensors behind the posterior-weighted sums: PAR[r, c, t] is the
 # sign (-1)^(sum_x f(sign_x_t) * |bit_x_r - bit_x_c|) with f(-1)=0, f(+1)=1.
@@ -99,11 +107,6 @@ _PAR4 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS4[:, None, :] - _BITS4[No
 # r XOR c over the 4x4 basis.  PAR[r, c, t] = (-1)^popcount(t & (r ^ c)),
 # so the parity sums of a row depend on (r, c) through r ^ c alone.
 _XOR4 = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-
-# Table rows with A = +1, then A = -1, each holding (B, C) in binary
-# order.  The fancy index lays the weights out differently for one row
-# and for many; :func:`_parity_sums` sums them the same way for both.
-_A_ROWS = np.array([[4, 5, 6, 7], [0, 1, 2, 3]])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@ r"""Bayesian sign posteriors and the single-point mutual information.
 
 Given the announced magnitudes and the reconciled homodyne outcome, the
 eight sign triples are a priori equally likely, so their posterior is the
-normalised vector of Gaussian outcome likelihoods.  All marginal and
-conditional sign probabilities, and the single-point mutual information
-I(A:B) of A's and B's signs, derive from that eight-entry table.
+normalised vector of the outcome likelihoods that :mod:`cvconf.protocol`
+models.  All marginal and conditional sign probabilities, and the
+single-point mutual information I(A:B) of A's and B's signs, derive from
+that eight-entry table.
 
 Likelihoods are always formed in log space and shifted by their maximum
 before exponentiation, so extreme announcements never produce 0/0.  The
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import SIGN_PATTERNS, ProtocolParams, _one_announcement, mean_coefficients
+from .protocol import SIGN_PATTERNS, ProtocolParams, _one_announcement, _outcome_exponents, \
+    mean_coefficients
 
 __all__ = [
     "PosteriorTable",
@@ -68,7 +70,9 @@ class PosteriorTable:
 
 def posterior_table_batch(mags: np.ndarray, gamma: np.ndarray,
                           params: ProtocolParams) -> np.ndarray:
-    """Posterior tables for a batch of announcements.
+    """Posterior tables for a batch of announcements: the outcome model's
+    exponents (:func:`cvconf.protocol._outcome_exponents`) shifted by their
+    row maximum, exponentiated and normalised.
 
     Parameters
     ----------
@@ -80,9 +84,7 @@ def posterior_table_batch(mags: np.ndarray, gamma: np.ndarray,
     -------
     ndarray, shape (n, 8)
     """
-    w = mean_coefficients(params)
-    means = (np.asarray(mags) * w) @ SIGN_PATTERNS.T           # (n, 8)
-    loglik = -0.5 * (np.asarray(gamma)[:, None] - means) ** 2
+    loglik = _outcome_exponents(mags, gamma, params)
     loglik -= loglik.max(axis=1, keepdims=True)
     table = np.exp(loglik)
     table /= table.sum(axis=1, keepdims=True)

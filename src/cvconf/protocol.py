@@ -8,14 +8,19 @@ tau_i); the surviving modes are combined in a two-beamsplitter cascade
 relative ports in q and the sum port in p, and the parties reconcile the
 p-quadrature signs.
 
-This module provides the analytic outcome densities for the reconciled
-homodyne result together with a full phase-space pipeline built on
-:mod:`cvconf.gaussian` that serves as their independent oracle.
+The outcome model is written once: :func:`_outcome_exponents` gives the
+log-likelihood, up to a constant, of the reconciled homodyne result under
+each of the eight sign triples, in ``SIGN_PATTERNS`` order.  The sign
+posterior both rate estimators use, the quadrature's joint density and the
+one-announcement :func:`outcome_density` are views of it, so the full
+phase-space pipeline built on :mod:`cvconf.gaussian`, its independent
+oracle, checks the likelihood the estimators use.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,18 +81,20 @@ class ProtocolParams:
     overlap_convention: str = "trace"
 
     def __post_init__(self):
-        tau = tuple(float(t) for t in self.tau)
-        sigma = tuple(float(s) for s in self.sigma)
-        if len(tau) != 3 or not all(0.0 < t <= 1.0 for t in tau):
+        tau = _floats(self.tau, "tau")
+        sigma = _floats(self.sigma, "sigma")
+        if tau.shape != (3,) or not all(0.0 < t <= 1.0 for t in tau.tolist()):
             raise ValueError("tau must be three transmissivities in (0, 1]")
-        if len(sigma) != 3 or not all(0.0 < s < math.inf for s in sigma):
+        if sigma.shape != (3,) or not all(0.0 < s < math.inf for s in sigma.tolist()):
             raise ValueError("sigma must be three positive finite standard deviations")
-        if not 0.0 <= self.attenuation_db_per_km < math.inf:
-            raise ValueError("attenuation_db_per_km must be finite and non-negative")
+        if not (isinstance(self.attenuation_db_per_km, numbers.Real)
+                and 0.0 <= self.attenuation_db_per_km < math.inf):
+            raise ValueError("attenuation_db_per_km must be finite and non-negative, "
+                             f"got {self.attenuation_db_per_km!r}")
         if self.overlap_convention not in ("trace", "amplitude"):
             raise ValueError("overlap_convention must be 'trace' or 'amplitude'")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tuple(tau.tolist()))
+        object.__setattr__(self, "sigma", tuple(sigma.tolist()))
 
     @property
     def attenuation_exponent(self) -> float:
@@ -116,11 +123,11 @@ class RelayResult:
 def transmissivity_from_distance(distance_km: float, attenuation_exponent: float) -> float:
     """Map a fibre length to a transmissivity via tau = 10**(-g*d).
 
-    A distance that is NaN, infinite or negative raises ValueError naming it,
-    and so does one so far that tau underflows to 0 (beyond about 16 000 km
-    at 0.2 dB/km).
+    A distance that is not a real number, or is NaN, infinite or negative,
+    raises ValueError naming it, and so does one so far that tau underflows
+    to 0 (beyond about 16 000 km at 0.2 dB/km).
     """
-    if not 0.0 <= distance_km < math.inf:
+    if not (isinstance(distance_km, numbers.Real) and 0.0 <= distance_km < math.inf):
         raise ValueError(f"distance_km must be finite and non-negative, got {distance_km!r}")
     tau = 10.0 ** (-attenuation_exponent * distance_km)
     if tau == 0.0:
@@ -144,15 +151,23 @@ def mean_coefficients(params: ProtocolParams) -> np.ndarray:
     ])
 
 
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or ValueError naming ``name`` if they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be real numbers, got {values!r}") from None
+
+
 def _check_signs(signs) -> np.ndarray:
-    s = np.asarray(signs, dtype=float)
+    s = _floats(signs, "signs")
     if s.shape != (3,) or not np.all(np.abs(s) == 1.0):
         raise ValueError("signs must be three values in {-1, +1}")
     return s
 
 
 def _check_mags(mags) -> np.ndarray:
-    m = np.asarray(mags, dtype=float)
+    m = _floats(mags, "magnitudes")
     if m.shape != (3,) or not np.all(m >= 0.0) or not np.all(np.isfinite(m)):
         raise ValueError("magnitudes must be three finite non-negative reals")
     return m
@@ -160,7 +175,10 @@ def _check_mags(mags) -> np.ndarray:
 
 def _one_announcement(mags, gamma) -> tuple[np.ndarray, np.ndarray]:
     """Checked magnitudes and outcome as the (1, 3) and (1,) batch of one announcement."""
-    g = float(gamma)
+    try:
+        g = float(gamma)
+    except (TypeError, ValueError):
+        raise ValueError(f"the outcome gamma must be a real number, got {gamma!r}") from None
     if not math.isfinite(g):
         raise ValueError("the outcome gamma must be finite")
     m = _check_mags(mags)
@@ -171,17 +189,28 @@ def _one_announcement(mags, gamma) -> tuple[np.ndarray, np.ndarray]:
     return m[None, :], np.array([g])
 
 
-def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:
-    """Density of the reconciled homodyne outcome given signs and magnitudes.
+def _outcome_exponents(mags: np.ndarray, gamma: np.ndarray,
+                       params: ProtocolParams) -> np.ndarray:
+    """The outcome model: (n, 8) exponents -(gamma - sum_i w_i * s_i * mag_i)**2 / 2
+    of (n, 3) magnitudes and (n,) outcomes, one column per sign triple s in
+    ``SIGN_PATTERNS`` order.
 
-    A unit-variance normal centred on sum_i w_i * sign_i * mag_i; the unit
-    conditional variance is what pure loss plus perfect homodyne detection
-    produce in shot-noise units (verified against :func:`simulate_relay`).
+    Given the signs, the reconciled outcome is a unit-variance normal centred
+    on sum_i w_i * s_i * mag_i; the unit conditional variance is what pure
+    loss plus perfect homodyne detection produce in shot-noise units
+    (verified against :func:`simulate_relay`).
     """
-    s = _check_signs(signs)
-    m = _check_mags(mags)
-    mean = float(np.dot(mean_coefficients(params), s * m))
-    return math.exp(-0.5 * (gamma - mean) ** 2) / _SQRT_2PI
+    means = (np.asarray(mags) * mean_coefficients(params)) @ SIGN_PATTERNS.T
+    return -0.5 * (np.asarray(gamma)[:, None] - means) ** 2
+
+
+def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:
+    """Density of the reconciled homodyne outcome given signs and magnitudes:
+    the one-announcement view of :func:`_outcome_exponents`, checked as every
+    single-announcement view is."""
+    row = np.all(SIGN_PATTERNS == _check_signs(signs), axis=1)
+    exponents = _outcome_exponents(*_one_announcement(mags, gamma), params)
+    return math.exp(exponents[0, row][0]) / _SQRT_2PI
 
 
 def _joint_density_factors(mags: np.ndarray, gamma: np.ndarray,
@@ -191,8 +220,7 @@ def _joint_density_factors(mags: np.ndarray, gamma: np.ndarray,
     summed over the eight equally-likely sign triples, and the product over
     parties of a zero-mean normal of deviation sigma_i at mag_i."""
     sigma = np.asarray(params.sigma)
-    means = (mags * mean_coefficients(params)) @ SIGN_PATTERNS.T
-    outcome = np.exp(-0.5 * (gamma[:, None] - means) ** 2).sum(axis=1) / _SQRT_2PI
+    outcome = np.exp(_outcome_exponents(mags, gamma, params)).sum(axis=1) / _SQRT_2PI
     mag_density = np.prod(np.exp(-0.5 * (mags / sigma) ** 2) / (_SQRT_2PI * sigma), axis=1)
     return outcome, mag_density
 

@@ -420,7 +420,9 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     The nodes go through :func:`_post_selected_rates`, which computes no
     spectra where chi(A; E_A) proves the certified rule cannot keep the
     node (97% of the 16-node grid at 2 km), with the value that
-    ``certified_rates`` on every node gives, bit for bit.
+    ``certified_rates`` on every node gives, bit for bit.  The joint
+    density is evaluated on the kept nodes alone (0.3% of that grid) and
+    scattered into a zero array, so each chunk sums the same terms.
     """
     if _integer(nodes_per_axis, "nodes_per_axis") < 8:
         raise ValueError("nodes_per_axis must be at least 8")
@@ -446,8 +448,12 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
         mags = points[:, :3]
         gamma = points[:, 3]
         rate_ps = _post_selected_rates(mags, gamma, params)
-        outcome, mag_density = _joint_density_factors(mags, gamma, params)
-        total += float((quad_weights * outcome * mag_density * rate_ps).sum())
+        # Weigh the kept nodes only; every other term is 0, as in the full array.
+        kept = np.flatnonzero(rate_ps)
+        outcome, mag_density = _joint_density_factors(mags[kept], gamma[kept], params)
+        terms = np.zeros(len(rate_ps))
+        terms[kept] = quad_weights[kept] * outcome * mag_density * rate_ps[kept]
+        total += float(terms.sum())
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 
 

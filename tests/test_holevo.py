@@ -8,6 +8,7 @@ import pytest
 from cvconf.gaussian import make_coherent_product, overlap_trace, pure_loss_tap
 import cvconf.holevo
 from cvconf.holevo import (
+    _A_ROWS,
     _BITS4,
     _PAR4,
     EveDensityMatrix,
@@ -551,6 +552,11 @@ class TestOwnTapHolevo:
 
 class TestHolevoCore:
     """The batched core checks every spectrum it computes."""
+
+    def test_sign_rows_follow_the_table_order(self):
+        """A's rows and the 4x4 basis bits, derived from ``SIGN_PATTERNS``."""
+        assert np.array_equal(_A_ROWS, np.array([[4, 5, 6, 7], [0, 1, 2, 3]]))
+        assert np.array_equal(_BITS4, np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float))
 
     def test_rejects_bad_trace(self):
         tables = np.full((2, 8), 0.25)  # each row sums to 2

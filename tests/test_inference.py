@@ -13,7 +13,7 @@ from cvconf.inference import (
     sign_posterior_table,
     single_point_mi,
 )
-from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients
+from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients, outcome_density
 
 
 def random_params(rng, **overrides):
@@ -90,6 +90,17 @@ class TestPosteriorTable:
             want = lik / lik.sum()
             got = sign_posterior_table(mags, gamma, p)
             assert np.allclose(got.probs, want, atol=1e-12)
+
+    def test_rows_are_the_normalised_outcome_density(self):
+        """The posterior both estimators use and the density the phase-space
+        pipeline checks are one likelihood, in ``SIGN_PATTERNS`` order."""
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            p = random_params(rng)
+            mags, gamma = random_announcement(rng, p)
+            density = np.array([outcome_density(s, mags, gamma, p) for s in SIGN_PATTERNS])
+            row = posterior_table_batch(mags[None, :], np.array([gamma]), p)[0]
+            np.testing.assert_allclose(row, density / density.sum(), rtol=1e-14, atol=0.0)
 
 
 def conditioned(probs):

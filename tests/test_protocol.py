@@ -70,6 +70,25 @@ class TestProtocolParams:
         p = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(50.0)
         assert p.tau == (pytest.approx(0.1), pytest.approx(0.1), pytest.approx(0.1))
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(tau=(1, 1, 1), attenuation_db_per_km="0.2"), "attenuation_db_per_km"),
+        (dict(tau=(1, 1, 1), attenuation_db_per_km=None), "attenuation_db_per_km"),
+        (dict(tau=(1, 1, 1), sigma=None), "sigma"),
+        (dict(tau=(1, 1, 1), sigma=(1, "x", 1)), "sigma"),
+        (dict(tau="abc"), "tau"),
+        (dict(tau="111"), "tau"),
+        (dict(tau=0.5), "tau"),
+        (dict(tau=(1, None, 1)), "tau"),
+    ])
+    def test_non_numeric_input_names_its_argument(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ProtocolParams(**kwargs)
+
+    @pytest.mark.parametrize("distance", ["3", None, (3.0,)])
+    def test_at_distance_names_a_non_numeric_distance(self, distance):
+        with pytest.raises(ValueError, match="^distance_km must be"):
+            ProtocolParams(tau=(1, 1, 1)).at_distance(distance)
+
 
 class TestTransmissivityFromDistance:
     def test_zero_distance(self):
@@ -152,6 +171,15 @@ class TestOutcomeDensity:
             outcome_density((1, 0, 1), (1, 1, 1), 0.0, p)
 
 
+def _outcome_density(mags, gamma, p):
+    """``outcome_density`` with a fixed sign triple, called like the other views."""
+    return outcome_density((1, -1, 1), mags, gamma, p)
+
+
+_VIEWS = [sign_posterior_table, single_point_mi, single_point_holevo, single_point_rate,
+          _outcome_density]
+
+
 class TestOneAnnouncement:
     """The input check behind every single-announcement view of a batch core."""
 
@@ -166,21 +194,29 @@ class TestOneAnnouncement:
         with pytest.raises(ValueError, match="magnitudes"):
             _one_announcement(mags, 0.0)
 
-    @pytest.mark.parametrize("view", [sign_posterior_table, single_point_mi,
-                                      single_point_holevo, single_point_rate])
+    @pytest.mark.parametrize("view", _VIEWS)
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_every_view_rejects_a_non_finite_outcome(self, view, gamma):
         p = ProtocolParams(tau=(0.9, 0.8, 0.7))
         with pytest.raises(ValueError, match="gamma must be finite"):
             view((1.0, 1.0, 1.0), gamma, p)
 
-    @pytest.mark.parametrize("view", [sign_posterior_table, single_point_mi,
-                                      single_point_holevo, single_point_rate])
+    @pytest.mark.parametrize("view", _VIEWS)
     @pytest.mark.parametrize("mags,gamma", [((1, 1, 1), 1e200), ((0, 0, 0), 1e155),
                                             ((1e200, 1, 1), 0.0), ((1e308, 1e308, 1), 0.0)])
     def test_every_view_rejects_an_overflowing_announcement(self, view, mags, gamma):
         p = ProtocolParams(tau=(0.9, 0.8, 0.7))
         with pytest.raises(ValueError, match="gamma and mags are too large"):
+            view(mags, gamma, p)
+
+    @pytest.mark.parametrize("view", _VIEWS)
+    @pytest.mark.parametrize("mags,gamma,name", [
+        ((1, 1, 1), "x", "gamma"), ((1, 1, 1), None, "gamma"),
+        ((1, "x", 1), 0.0, "magnitudes"), ("abc", 0.0, "magnitudes"),
+    ])
+    def test_every_view_names_a_non_numeric_argument(self, view, mags, gamma, name):
+        p = ProtocolParams(tau=(0.9, 0.8, 0.7))
+        with pytest.raises(ValueError, match=name):
             view(mags, gamma, p)
 
     def test_accepts_a_large_finite_spread(self):

@@ -52,3 +52,31 @@ def test_every_export_resolves():
              for name in module.__all__
              if not hasattr(module, name)]
     assert stale == []
+
+
+def _enclosing(tree: ast.Module, node: ast.AST) -> str:
+    """Name of the top-level function or class holding ``node``, else "<module>"."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and \
+                top.lineno <= node.lineno <= top.end_lineno:
+            return top.name
+    return "<module>"
+
+
+def test_outcome_model_is_written_once():
+    """The outcome likelihood over the sign table, the product with
+    ``SIGN_PATTERNS`` transposed, is formed in ``protocol._outcome_exponents``
+    alone, and the posterior, the quadrature's joint density and the
+    phase-space oracle's density are views of it."""
+    formed, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "T" and \
+                    isinstance(node.value, ast.Name) and node.value.id == "SIGN_PATTERNS":
+                formed.append(f"{path.stem}.{_enclosing(tree, node)}")
+            if isinstance(node, ast.Name) and node.id == "_outcome_exponents":
+                callers.add(f"{path.stem}.{_enclosing(tree, node)}")
+    assert formed == ["protocol._outcome_exponents"]
+    assert {"inference.posterior_table_batch", "protocol._joint_density_factors",
+            "protocol.outcome_density"} <= callers
