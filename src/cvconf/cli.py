@@ -11,8 +11,8 @@ Three modes:
 ``validate``
     The built-in oracle suites, on the draws of acceptance criteria 5 and
     4: the phase-space pipeline against the outcome likelihood both rate
-    estimators use, and the Gram spectrum against the constructed density
-    matrices.
+    estimators use and against the tap exponents behind every overlap, and
+    the Gram spectrum against the constructed density matrices.
 
 Options may also be given in a flat ``key = value`` config file; explicit
 flags take precedence over the file, which takes precedence over the
@@ -305,8 +305,9 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
     ``outcome_density``, the one-announcement view of the outcome model that
     both estimators' posterior and the quadrature's weight are built on, and
     for the eavesdropper's state: the largest deviation of its covariance
-    from the identity and of its p-means from the analytic means, and its
-    smallest symplectic eigenvalue.  Acceptance criterion 5 draws from here.
+    from the identity and of its p-means from ``eve_conditional_means``, the
+    view of the tap exponents behind every overlap, and its smallest
+    symplectic eigenvalue.  Acceptance criterion 5 draws from here.
     """
     params = ProtocolParams(
         tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
@@ -328,7 +329,8 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
 
 
 def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
-    """Phase-space pipeline against the outcome likelihood; returns (passed, total)."""
+    """Phase-space pipeline against the outcome likelihood and the tap
+    exponents; returns (passed, total)."""
     passed = 0
     for _ in range(n_draws):
         rel, cov_dev, mean_dev, min_nu = _pipeline_check(rng)

@@ -214,7 +214,8 @@ def overlap_trace(state_a: GaussianState, state_b: GaussianState) -> float:
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix (test helper).
+    """Symplectic eigenvalues of a covariance matrix; ``--mode validate`` and
+    the tests check the eavesdropper's state with them.
 
     Returns the n moduli of the eigenvalues of i*Omega*V, each of which
     appears twice in the raw spectrum.  The uncertainty principle in

@@ -23,16 +23,19 @@ square root (the literal inner product of the pure states).  ``trace``
 is the default; it yields smaller overlaps, hence a larger Holevo bound
 and a more conservative key rate.
 
-Where every overlap is exactly 1 (unit transmissivity, as everywhere at
-0 km) all eight states coincide, so the eavesdropper's state does not
-depend on any sign: the Holevo information is exactly 0 and no spectrum
-is computed.  A's own overlap being 1 is not enough: with B's and C's
-taps lossy, their states still reveal A's sign through the posterior
+Where every overlap of an announcement is exactly 1 (unit transmissivity,
+as everywhere at 0 km) all eight states coincide, so the eavesdropper's
+state does not depend on any sign: the Holevo information is exactly 0
+and no spectrum is computed for that announcement, whatever the others in
+its batch.  A's own overlap being 1 is not enough: with B's and C's taps
+lossy, their states still reveal A's sign through the posterior
 correlations.
 
-The assembly works with the overlap deficit 1 - X (from ``expm1`` when
-the overlaps come from announcements), so the small coefficient c1 keeps
-full relative accuracy.  Entropies use every eigenvalue, clipped to
+The overlaps are views of :func:`cvconf.protocol._tap_exponents`.  The
+assembly works with the overlap deficit 1 - X (from ``expm1`` when the
+overlaps come from announcements), so the small coefficient c1 keeps full
+relative accuracy, and builds both state sizes by one rule
+(:func:`_parity_sums`).  Entropies use every eigenvalue, clipped to
 [0, 1].  Every Holevo value comes from one batched core
 (:func:`single_point_holevo` is its n = 1 view); a spectrum there with
 trace off 1, or an eigenvalue below 0, by more than 1e-10 raises
@@ -56,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import PosteriorTable, _eta, posterior_table_batch
-from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcement
+from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcement, \
+    _tap_exponents
 
 __all__ = [
     "EveDensityMatrix",
@@ -91,22 +95,24 @@ _ETA_PEAK = 1.0 / (math.e * math.log(2.0))
 _BITS8 = ((SIGN_PATTERNS + 1.0) / 2.0)                       # (8, 3)
 
 # Table rows with A = +1, then A = -1, each holding (B, C) in the table's
-# order.  The fancy index lays the weights out differently for one row
-# and for many; :func:`_parity_sums` sums them the same way for both.
+# order.
 _A_ROWS = np.stack([np.flatnonzero(SIGN_PATTERNS[:, 0] > 0),
                     np.flatnonzero(SIGN_PATTERNS[:, 0] < 0)])
 
 # (B, C) sign bits of the 4x4 basis: those of A's rows, in the same order.
 _BITS4 = _BITS8[_A_ROWS[0], 1:]
 
-# Parity tensors behind the posterior-weighted sums: PAR[r, c, t] is the
-# sign (-1)^(sum_x f(sign_x_t) * |bit_x_r - bit_x_c|) with f(-1)=0, f(+1)=1.
-_PAR8 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS8[:, None, :] - _BITS8[None, :, :]), _BITS8)
-_PAR4 = (-1.0) ** np.einsum("rcx,tx->rct", np.abs(_BITS4[:, None, :] - _BITS4[None, :, :]), _BITS4)
 
-# r XOR c over the 4x4 basis.  PAR[r, c, t] = (-1)^popcount(t & (r ^ c)),
-# so the parity sums of a row depend on (r, c) through r ^ c alone.
-_XOR4 = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+def _assembly_rule(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis bits (d, k), the signs (-1)**(bits[k] . bits[t]) of the
+    parity sums, and, per (r, c), the row whose bits are bits[r] XOR bits[c]."""
+    signs = (-1.0) ** (bits @ bits.T)
+    xor = np.abs(bits[:, None, :] - bits[None, :, :])
+    return bits, signs, np.argmax(np.all(xor[:, :, None, :] == bits, axis=-1), axis=-1)
+
+
+# One rule per state size: the 8x8 total state and the 4x4 conditional one.
+_RULES = {len(bits): _assembly_rule(bits) for bits in (_BITS8, _BITS4)}
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,8 @@ def _checked_eigvalsh(rho: np.ndarray) -> np.ndarray:
 
 
 def _overlap_exponents(mags, params: ProtocolParams) -> np.ndarray:
-    exponent = (1.0 - np.asarray(params.tau)) * np.asarray(mags) ** 2
+    """-log of the overlaps: the tap exponents, halved under the amplitude convention."""
+    exponent = _tap_exponents(mags, params)
     return exponent / 2.0 if params.overlap_convention == "amplitude" else exponent
 
 
@@ -179,33 +186,37 @@ def _coefficient_vectors(deficits: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return chosen.prod(axis=-1)
 
 
-def _assemble_batch(weights: np.ndarray, deficits: np.ndarray,
-                    bits: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """Density matrices (..., d, d) from sign weights (..., d) and overlap
-    deficits (..., k), broadcast over the leading axes."""
+def _assemble_batch(weights: np.ndarray, deficits: np.ndarray) -> np.ndarray:
+    """Density matrices (..., d, d) from sign weights (..., d), d = 8 or 4, and
+    overlap deficits (..., k), broadcast over the leading axes."""
+    bits, signs, xor = _RULES[weights.shape[-1]]
     cvec = _coefficient_vectors(deficits, bits)
-    return cvec[..., :, None] * cvec[..., None, :] * _parity_sums(weights, parity)
+    return cvec[..., :, None] * cvec[..., None, :] * _parity_sums(weights, signs)[..., xor]
 
 
-def _parity_sums(weights: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """lam[..., r, c] = sum_t parity[r, c, t] * weights[..., t], in an order
-    that does not depend on the rows batched with a row.
+def _parity_sums(weights: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum_t signs[k, t] * weights[..., t], with signs[k, t] =
+    (-1)**popcount(k & t), in a fixed elementwise order, for d = 8 or 4.
 
-    einsum's summation order follows the operands' memory layout.  The 8x8
-    weights are C-contiguous (n, 8) tables for every n, so einsum sums them
-    one way.  The 4x4 weights come from :func:`_condition`'s fancy index,
-    laid out batch-innermost for n >= 2 but in C order for n = 1, and einsum
-    sums those two layouts in different orders, which would put a row's chi
-    alone an ulp off its chi in a batch.  So the 4x4 sums add t = 0, 1, 2, 3
-    in turn, the order einsum takes for n >= 2: the four distinct sums of a
-    row (one per r ^ c) first, then spread over r and c.
+    Entry (r, c) of a state's parity sums is S[r XOR c].  Each S[k] adds its
+    terms in one order, whatever the batch and the weights' memory layout:
+    for d = 8 two chains, over even t and over odd t, each from its last
+    term back and starting from +0.0, then the two chains' sum; for d = 4,
+    t = 0, 1, 2, 3 in turn.  These are the orders the pinned outputs were
+    computed in (numpy's two-lane einsum kernel for d = 8), so they keep
+    their bits.
     """
+    terms = weights[..., None, :] * signs
     if weights.shape[-1] == 8:
-        return np.einsum("rct,...t->...rc", parity, weights)
-    sums = weights[..., 0, None] * parity[0, :, 0]
-    for t in range(1, 4):
-        sums = sums + weights[..., t, None] * parity[0, :, t]
-    return sums[..., _XOR4]
+        pairs = terms.reshape(terms.shape[:-1] + (4, 2))
+        chains = 0.0 + pairs[..., 3, :]
+        for j in (2, 1, 0):
+            chains += pairs[..., j, :]
+        return chains[..., 0] + chains[..., 1]
+    sums = terms[..., 0] + terms[..., 1]
+    sums += terms[..., 2]
+    sums += terms[..., 3]
+    return sums
 
 
 def _condition(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +242,7 @@ def assemble_total_state(table: PosteriorTable, overlaps) -> EveDensityMatrix:
     x = np.asarray(overlaps, dtype=float)
     if x.shape != (3,):
         raise ValueError("need one overlap per party")
-    rho = _assemble_batch(table.probs[None, :], 1.0 - x[None, :], _BITS8, _PAR8)[0]
+    rho = _assemble_batch(table.probs[None, :], 1.0 - x[None, :])[0]
     return EveDensityMatrix(rho)
 
 
@@ -366,27 +377,33 @@ def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     """Batched Holevo bound chi(A) and a bound on its error against the exact value.
 
     ``deficits`` holds 1 - X per party and ``rel_err`` bounds the relative
-    error of every table entry.  A batch whose deficits are all exactly 0
-    gets (0, 0) without spectra (see the module notes).  A relative error
-    eps of each sign weight scales the mixture by a factor within
-    [1 - eps, 1 + eps] in the positive semidefinite order, and a relative
-    error of the coefficients is a congruence close to the identity; both
-    scale every eigenvalue by at most that relative amount.  Assembly and
-    eigensolver rounding then shift each eigenvalue by at most
-    ``_EIG_ABS_ERR``.
+    error of every table entry.  A row whose deficits are all exactly 0
+    gets (0, 0) without spectra (see the module notes), whatever the other
+    rows, and the other rows get the spectra of their own states, so no
+    row's values depend on its batch.  A relative error eps of each sign
+    weight scales the mixture by a factor within [1 - eps, 1 + eps] in the
+    positive semidefinite order, and a relative error of the coefficients
+    is a congruence close to the identity; both scale every eigenvalue by
+    at most that relative amount.  Assembly and eigensolver rounding then
+    shift each eigenvalue by at most ``_EIG_ABS_ERR``.
     """
-    if not deficits.any():
-        return np.zeros(len(tables)), np.zeros(len(tables))
+    live = deficits.any(axis=-1)
+    if live.size == 0 or not live.all():
+        chi, bound = np.zeros(len(tables)), np.zeros(len(tables))
+        if live.any():
+            chi[live], bound[live] = _holevo_with_bound(
+                tables[live], deficits[live], np.broadcast_to(rel_err, live.shape)[live])
+        return chi, bound
     rel = np.asarray(rel_err, dtype=float) + 32.0 * _EPS  # coefficients and sums
     total, bound = _entropy_with_bound(
-        _checked_eigvalsh(_assemble_batch(tables, deficits, _BITS8, _PAR8)),
+        _checked_eigvalsh(_assemble_batch(tables, deficits)),
         rel[..., None], _EIG_ABS_ERR[8])
 
     marginal, cond = _condition(tables)
     rest = deficits[:, None, 1:]
     # Normalising by the marginal doubles the weights' relative error.
     entropy, err = _entropy_with_bound(
-        _checked_eigvalsh(_assemble_batch(cond, rest, _BITS4, _PAR4)),
+        _checked_eigvalsh(_assemble_batch(cond, rest)),
         2.0 * rel[..., None, None], _EIG_ABS_ERR[4])
     terms = marginal * entropy
     bounds = marginal * (err + rel[..., None] * entropy)

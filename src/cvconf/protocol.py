@@ -15,6 +15,10 @@ posterior both rate estimators use, the quadrature's joint density and the
 one-announcement :func:`outcome_density` are views of it, so the full
 phase-space pipeline built on :mod:`cvconf.gaussian`, its independent
 oracle, checks the likelihood the estimators use.
+
+So is the tap model, :func:`_tap_exponents`: the eavesdropper's means
+that the pipeline checks and the overlaps behind every Holevo value are
+views of it.
 """
 
 from __future__ import annotations
@@ -225,16 +229,23 @@ def _joint_density_factors(mags: np.ndarray, gamma: np.ndarray,
     return outcome, mag_density
 
 
-def eve_conditional_means(signs, mags, params: ProtocolParams) -> list[tuple[float, float]]:
-    """Means (q, p) of the eavesdropper's three memory modes.
+def _tap_exponents(mags, params: ProtocolParams) -> np.ndarray:
+    """The tap model: (1 - tau_i) * mag_i**2 over the last axis of mags, the
+    squared mean sign_i * sqrt(1 - tau_i) * mag_i of party i's tap under pure loss."""
+    return (1.0 - np.asarray(params.tau)) * np.asarray(mags) ** 2
 
-    Mode i carries mean sqrt(1-tau_i)*sign_i*mag_i on the reconciled p
-    quadrature.  The q mean is irrelevant to the state overlaps and is
-    reported as 0; the covariance is the identity.
+
+def eve_conditional_means(signs, mags, params: ProtocolParams) -> list[tuple[float, float]]:
+    """Means (q, p) of the eavesdropper's three memory modes: the view of
+    :func:`_tap_exponents` that the phase-space pipeline checks.
+
+    Mode i carries mean sign_i * sqrt((1 - tau_i) * mag_i**2) on the
+    reconciled p quadrature.  The q mean is irrelevant to the state overlaps
+    and is reported as 0; the covariance is the identity.
     """
     s = _check_signs(signs)
-    m = _check_mags(mags)
-    return [(0.0, math.sqrt(1.0 - ti) * si * mi) for ti, si, mi in zip(params.tau, s, m)]
+    exponents = _tap_exponents(_check_mags(mags), params)
+    return [(0.0, si * math.sqrt(ei)) for si, ei in zip(s.tolist(), exponents.tolist())]
 
 
 def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,

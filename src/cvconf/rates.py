@@ -143,9 +143,17 @@ def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
 
 def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The posterior tables, their relative error bound, and I(A:B) with its bound."""
+    """The posterior tables, their relative error bound, and I(A:B) with its bound.
+
+    A bound that overflows, which the estimators reach only through a huge
+    sigma, raises ValueError naming sigma before any spectrum.
+    """
+    with np.errstate(over="ignore"):
+        rel_err = posterior_rel_err(mags, gamma, params)
+    if not np.isfinite(rel_err).all():
+        raise ValueError("sigma is too large: an announcement's "
+                         "32*(|gamma| + sum_i w_i*mag_i)**2 is not finite")
     tables = posterior_table_batch(mags, gamma, params)
-    rel_err = posterior_rel_err(mags, gamma, params)
     mi, mi_err = _mi_with_bound(tables, rel_err)
     return tables, rel_err, mi, mi_err
 
@@ -173,13 +181,7 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
 
     The rows are evaluated in tiles of ``_TILE``, so the core's working
     memory does not grow with n.  Each row's values are those of
-    :func:`_rate_terms` on the whole batch, with one exception: a set of
-    rows whose overlap deficits are all exactly 0 gets chi = 0 without
-    spectra, where a batch holding other rows would have computed them.
-    Here that set is a tile; in :func:`_post_selected_rates` it is a tile's
-    unscreened rows.  At transmissivity below 1 that needs every magnitude
-    in the set to be 0 (or so small that its overlap exponent underflows),
-    and 0 is the exact chi there.
+    :func:`_rate_terms` on that row alone, whatever the tile or batch size.
     """
     n = len(gamma)
     rate = np.empty(n)
@@ -250,11 +252,10 @@ def _post_selected_rates(mags: np.ndarray, gamma: np.ndarray,
 
     Per tile, the information half runs on every row and chi(A) on the
     unscreened rows only.  A row's chi does not depend on the rows computed
-    with it, so each gets the value :func:`certified_rates` computes (see
-    its docstring for the one exception), even as its tile's only
-    unscreened row; a screened row gets the 0.0 it would get there.  At
-    2 km that leaves about 3% of the quadrature's nodes to the spectra.
-    The raw rate would need chi on every row.
+    with it, so each gets the value :func:`certified_rates` computes, even
+    as its tile's only unscreened row; a screened row gets the 0.0 it would
+    get there.  At 2 km that leaves about 3% of the quadrature's nodes to
+    the spectra.  The raw rate would need chi on every row.
     """
     rate_ps = np.zeros(len(gamma))
     for start in range(0, len(gamma), _TILE):

@@ -136,6 +136,8 @@ class TestConfigHandling:
         (["--distances", "20000"], "distances"),
         (["--distances", "1,20000"], "distances"),
         (["--d-max", "20000", "--d-step", "100"], "d_max"),
+        (["--mode", "sweep", "--sigma", "1e153,1,1", "--samples", "65536", "--d-max", "1"],
+         "sigma"),
     ])
     def test_invalid_flags_exit_with_diagnostic(self, argv, key, capsys):
         code, _, err = run_cli(["--mode", "point", "--mags", "0,0,0"] + argv, capsys)

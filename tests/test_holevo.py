@@ -10,12 +10,12 @@ import cvconf.holevo
 from cvconf.holevo import (
     _A_ROWS,
     _BITS4,
-    _PAR4,
     EveDensityMatrix,
     _assemble_batch,
     _coefficient_vectors,
     _condition,
     _holevo_with_bound,
+    _overlap_exponents,
     _own_tap_holevo_with_bound,
     assemble_total_state,
     eve_overlaps,
@@ -25,7 +25,8 @@ from cvconf.holevo import (
     von_neumann_entropy,
 )
 from cvconf.inference import PosteriorTable, posterior_table_batch, sign_posterior_table
-from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients
+from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, _tap_exponents, \
+    eve_conditional_means, mean_coefficients
 from cvconf.rates import _rate_terms
 
 
@@ -57,6 +58,24 @@ class TestEveOverlaps:
     def test_unit_transmissivity(self):
         p = ProtocolParams(tau=(1.0, 1.0, 1.0))
         assert np.allclose(eve_overlaps((2, 3, 1), p), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_overlaps_and_means_are_views_of_the_tap_model(self, convention):
+        """The overlap exponents are the tap exponents (halved under the
+        amplitude convention) bit for bit, and the phase-space pipeline's
+        means square to them."""
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            p = random_params(rng, overlap_convention=convention)
+            mags = np.abs(rng.normal(0.0, p.sigma, size=(5, 3)))
+            mags[0, rng.integers(3)] = 0.0
+            tap = _tap_exponents(mags, p)
+            want = tap if convention == "trace" else tap / 2.0
+            assert np.array_equal(_overlap_exponents(mags, p), want)
+            for row, signs, exponents in zip(mags, rng.choice([-1.0, 1.0], size=(5, 3)), tap):
+                means = np.array([mp for _, mp in eve_conditional_means(signs, row, p)])
+                np.testing.assert_allclose(means ** 2, exponents, rtol=1e-15, atol=0.0)
+                assert np.array_equal(np.sign(means), signs * (means != 0.0))
 
     def test_zero_magnitudes(self):
         p = ProtocolParams(tau=(0.3, 0.5, 0.7))
@@ -166,7 +185,7 @@ def conditional_state(table, overlaps, sign):
     it (its marginal split, then B's and C's overlaps)."""
     _, cond = _condition(table.probs[None, :])
     rest = 1.0 - np.asarray(overlaps, dtype=float)[1:]
-    return EveDensityMatrix(_assemble_batch(cond[0, 0 if sign == 1 else 1], rest, _BITS4, _PAR4))
+    return EveDensityMatrix(_assemble_batch(cond[0, 0 if sign == 1 else 1], rest))
 
 
 class TestAssembleConditionalState:

@@ -439,6 +439,66 @@ class TestCertifiedDecision:
         assert post.std_error == 0.0
 
 
+class TestRowLocality:
+    """A row whose overlap deficits are all exactly 0 gets chi = 0 with a zero
+    bound, and every other row its own spectra, whatever rows share its batch."""
+
+    @staticmethod
+    def draws(n, seed):
+        """Announcements at tau = (1, 1, 0.5), every third one with mag_C = 0
+        and so no deficit; the first two once moved with their batch."""
+        rng = np.random.default_rng(seed)
+        mags = np.abs(rng.normal(0.0, 1.0, size=(n, 3)))
+        mags[::3, 2] = 0.0
+        mags[:2] = [[1.366e-3, 1.366e-3, 0.0], [1.159e-2, 1.159e-2, 0.0]]
+        gamma = rng.normal(0.0, 2.0, n)
+        gamma[:2] = [0.3, 0.5]
+        return mags, gamma
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_rows_equal_the_row_alone(self, convention):
+        params = ProtocolParams(tau=(1.0, 1.0, 0.5), overlap_convention=convention)
+        mags, gamma = self.draws(300, seed=72)
+        tables, rel_err, _, _ = _information_terms(mags, gamma, params)
+        deficits = overlap_deficits_batch(mags, params)
+        zero = ~deficits.any(axis=1)
+        assert np.array_equal(zero, mags[:, 2] == 0.0) and zero.sum() == 101
+        chi, err = cvconf.rates._holevo_with_bound(tables, deficits, rel_err)
+        assert not chi[zero].any() and not err[zero].any()
+        rate, rate_ps = certified_rates(mags, gamma, params)
+        assert rate_ps[0] > 0.0  # 2.8e-13, once dropped beside a lossy row
+        for k in range(len(gamma)):
+            one = slice(k, k + 1)
+            alone = cvconf.rates._holevo_with_bound(tables[one], deficits[one], rel_err[one])
+            assert (chi[k], err[k]) == (alone[0][0], alone[1][0])
+            assert (rate[k], rate_ps[k]) == tuple(
+                v[0] for v in certified_rates(mags[one], gamma[one], params))
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_tile_with_a_single_live_row(self, convention, monkeypatch):
+        """The spectra see only the tile's one lossy row, and each row gets its
+        value alone."""
+        params = ProtocolParams(tau=(1.0, 1.0, 0.5), overlap_convention=convention)
+        mags, gamma = self.draws(_TILE, seed=73)
+        mags[:, 2] = 0.0
+        mags[1000, 2] = 0.8
+        assembled = []
+        original = cvconf.holevo._assemble_batch
+
+        def counting(weights, *args):
+            assembled.append(weights.shape)
+            return original(weights, *args)
+
+        monkeypatch.setattr(cvconf.holevo, "_assemble_batch", counting)
+        rate, rate_ps = certified_rates(mags, gamma, params)
+        assert assembled == [(1, 8), (1, 2, 4)]
+        for k in (0, 1, 999, 1000, 1001):
+            one = slice(k, k + 1)
+            assert (rate[k], rate_ps[k]) == tuple(
+                v[0] for v in certified_rates(mags[one], gamma[one], params))
+        assert rate[1000] != rate[999]
+
+
 class TestScreen:
     """The quadrature's loop skips the spectra of rows that chi(A; E_A) proves
     the certified rule cannot keep, and returns the post-selected part of
@@ -716,3 +776,15 @@ def test_weights_shrink_with_distance():
     w5 = mean_coefficients(template.at_distance(5.0))
     tau5 = transmissivity_from_distance(5.0, template.attenuation_exponent)
     assert np.allclose(w5, w0 * math.sqrt(tau5), atol=1e-14)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda params: estimate_rates_mc(params, 100),
+    lambda params: quadrature_cross_check(params, 8),
+], ids=["mc", "quadrature"])
+def test_overflowing_sigma_is_named(estimate):
+    """A sigma whose announcements square past the float range is named
+    before any spectrum, not left to the eigensolver's LinAlgError."""
+    params = ProtocolParams(tau=(1.0, 1.0, 1.0), sigma=(1e160, 1.0, 1.0))
+    with pytest.raises(ValueError, match="sigma is too large"):
+        estimate(params)

@@ -80,3 +80,35 @@ def test_outcome_model_is_written_once():
     assert formed == ["protocol._outcome_exponents"]
     assert {"inference.posterior_table_batch", "protocol._joint_density_factors",
             "protocol.outcome_density"} <= callers
+
+
+def _mentions_tau(node: ast.AST, names: set) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "tau" or
+               isinstance(sub, ast.Name) and ("tau" in sub.id or sub.id in names)
+               for sub in ast.walk(node))
+
+
+def test_tap_model_is_written_once():
+    """The tap's loss 1 - tau, the factor of (1 - tau) * mag**2, is formed in
+    ``protocol._tap_exponents`` alone outside the phase-space oracle
+    ``gaussian.py`` (a name bound by a loop over the transmissivities counts
+    as tau), and the eavesdropper's means and the overlap exponents behind
+    every Holevo value are views of it."""
+    formed, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "gaussian":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loop_names = {name.id for node in ast.walk(tree)
+                      if isinstance(node, (ast.For, ast.comprehension))
+                      and _mentions_tau(node.iter, set())
+                      for name in ast.walk(node.target) if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and \
+                    isinstance(node.left, ast.Constant) and node.left.value == 1 and \
+                    _mentions_tau(node.right, loop_names):
+                formed.append(f"{path.stem}.{_enclosing(tree, node)}")
+            if isinstance(node, ast.Name) and node.id == "_tap_exponents":
+                callers.add(f"{path.stem}.{_enclosing(tree, node)}")
+    assert formed == ["protocol._tap_exponents"]
+    assert {"protocol.eve_conditional_means", "holevo._overlap_exponents"} <= callers
