@@ -10,7 +10,7 @@ The keep/drop decision is certified: every announcement carries a bound
 on the distance between the computed and the exact I - chi, and it is
 kept only when the computed rate exceeds that bound, so every kept
 announcement has an exactly positive rate.  Both estimators share this
-decision (:func:`certified_rates`).
+decision, and one node loop computes it for both (:func:`_node_rates`).
 
 The Monte-Carlo estimator importance-samples the announcements from a
 defensive mixture (Hesterberg, Technometrics 1995; Owen, *Monte Carlo
@@ -28,9 +28,9 @@ results are bit-identical for any degree of parallelism.
 
 A deterministic tensor-product quadrature over the truncated announcement
 domain, using the explicit joint density as weight, cross-validates the
-estimator.  It needs only the post-selected part, so it skips the
-spectra of rows that a closed-form lower bound on chi(A) proves the
-certified rule cannot keep (:func:`_post_selected_rates`), bit-identically.
+estimator.  It needs only the post-selected part, so the node loop skips
+the spectra of rows that a closed-form lower bound on chi(A) proves the
+certified rule cannot keep, bit-identically.
 """
 
 from __future__ import annotations
@@ -83,14 +83,14 @@ _WIDE = 3.0
 _LOG_WIDE_RATIO_SLOPE = (1.0 - 1.0 / _WIDE ** 2) / 2.0
 _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 
-# Rows per _rate_terms call in certified_rates.  Bounds the rate core's
+# Rows per tile of the node loop _node_rates.  Bounds the rate core's
 # (n, 8, 8) density matrices and their temporaries to a few MB whatever
 # the batch; each row's result does not depend on it.
 _TILE = 1 << 12
 
-# Gauss-Legendre points per quadrature panel, and grid points per
-# certified_rates call in the quadrature (bounds the chunk's points,
-# weights, density factors and summed terms; _TILE bounds the core).
+# Gauss-Legendre points per quadrature panel, and grid points per chunk
+# of the quadrature (bounds the chunk's points, rates and summed terms;
+# _TILE bounds the core).
 _PANEL_DEGREE = 8
 _QUAD_CHUNK = 1 << 17
 
@@ -164,12 +164,6 @@ def _rate_bound(mi, mi_err, chi, chi_err):
     return mi_err + chi_err + _EPS * (mi + chi)
 
 
-def _keep(rate, err):
-    """The certified post-selected part: rate where it exceeds its bound err,
-    so the exact rate is positive, and 0 elsewhere."""
-    return np.where(rate > err, rate, 0.0)
-
-
 def certified_rates(mags: np.ndarray, gamma: np.ndarray,
                     params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Single-point rates and their certified post-selected parts.
@@ -177,20 +171,36 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
     Returns ``(rate, rate_ps)`` for (n, 3) magnitudes and (n,) outcomes.
     ``rate_ps`` equals ``rate`` where the computed rate exceeds its error
     bound, so the exact rate is positive, and 0 elsewhere: announcements
-    whose sign floating point cannot settle are dropped.
+    whose sign floating point cannot settle are dropped.  The raw view of
+    the node loop :func:`_node_rates`.
+    """
+    return _node_rates(mags, gamma, params, raw=True)
 
-    The rows are evaluated in tiles of ``_TILE``, so the core's working
-    memory does not grow with n.  Each row's values are those of
-    :func:`_rate_terms` on that row alone, whatever the tile or batch size.
+
+def _node_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
+                raw: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(rate, rate_ps)`` of :func:`certified_rates`, with ``rate`` None
+    unless ``raw``, in tiles of ``_TILE`` so the core's memory does not grow
+    with n.  The raw rate needs chi(A) on every row; without it, chi runs
+    only on the rows :func:`_screened` leaves (about 3% of the quadrature's
+    nodes at 2 km), and a screened row gets the 0.0 the full rule gives it.
+    Each row's values are those of :func:`_rate_terms` on that row alone.
     """
     n = len(gamma)
-    rate = np.empty(n)
-    rate_ps = np.empty(n)
+    rate = np.empty(n) if raw else None
+    rate_ps = np.zeros(n)
     for start in range(0, n, _TILE):
         tile = slice(start, start + _TILE)
-        mi, chi, err = _rate_terms(mags[tile], gamma[tile], params)
-        rate[tile] = mi - chi
-        rate_ps[tile] = _keep(rate[tile], err)
+        tables, rel_err, mi, mi_err = _information_terms(mags[tile], gamma[tile], params)
+        deficits = overlap_deficits_batch(mags[tile], params)
+        live = slice(None) if raw else ~_screened(tables, deficits, rel_err, mi, mi_err)
+        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
+        mi = mi[live]
+        rate_live, err = mi - chi, _rate_bound(mi, mi_err[live], chi, chi_err)
+        if raw:
+            rate[tile] = rate_live
+        # Kept where it exceeds its bound, so the exact rate is positive.
+        rate_ps[tile][live] = np.where(rate_live > err, rate_live, 0.0)
     return rate, rate_ps
 
 
@@ -245,30 +255,6 @@ def _screened(tables: np.ndarray, deficits: np.ndarray, rel_err, mi, mi_err) -> 
     return mi - chi_low + chi_low_err <= mi_err / 2.0
 
 
-def _post_selected_rates(mags: np.ndarray, gamma: np.ndarray,
-                         params: ProtocolParams) -> np.ndarray:
-    """``certified_rates(mags, gamma, params)[1]``, bit for bit, with no
-    spectra for the rows :func:`_screened` proves the keep rule cannot keep.
-
-    Per tile, the information half runs on every row and chi(A) on the
-    unscreened rows only.  A row's chi does not depend on the rows computed
-    with it, so each gets the value :func:`certified_rates` computes, even
-    as its tile's only unscreened row; a screened row gets the 0.0 it would
-    get there.  At 2 km that leaves about 3% of the quadrature's nodes to
-    the spectra.  The raw rate would need chi on every row.
-    """
-    rate_ps = np.zeros(len(gamma))
-    for start in range(0, len(gamma), _TILE):
-        tile = slice(start, start + _TILE)
-        tables, rel_err, mi, mi_err = _information_terms(mags[tile], gamma[tile], params)
-        deficits = overlap_deficits_batch(mags[tile], params)
-        live = ~_screened(tables, deficits, rel_err, mi, mi_err)
-        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
-        mi = mi[live]
-        rate_ps[tile][live] = _keep(mi - chi, _rate_bound(mi, mi_err[live], chi, chi_err))
-    return rate_ps
-
-
 def _mc_block(args) -> tuple[float, float, float, float]:
     """Weighted sums of the rate and its post-selected part over one block."""
     seed, block_index, count, params = args
@@ -284,11 +270,21 @@ def _mc_block(args) -> tuple[float, float, float, float]:
     log_ratio = _LOG_WIDE_RATIO_SLOPE * (z * z).sum(axis=1) + _LOG_WIDE_RATIO_OFFSET
     weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
 
-    rate, rate_ps = certified_rates(mags, gamma, params)
-    rate = weight * rate
-    rate_ps = weight * rate_ps
-    return (float(rate.sum()), float((rate * rate).sum()),
-            float(rate_ps.sum()), float((rate_ps * rate_ps).sum()))
+    return _weighted_sums(certified_rates(mags, gamma, params), weight.__getitem__)
+
+
+def _weighted_sums(columns, weigh) -> tuple[float, ...]:
+    """Sums of w*r and (w*r)**2 for each rate column r.  w = weigh(rows) is
+    formed on the rows where r is non-zero alone, before the zero array its
+    terms scatter into (a lower peak), so each sum adds the whole column."""
+    sums = []
+    for rate in columns:
+        rows = np.flatnonzero(rate)
+        weighted = weigh(rows) * rate[rows]
+        terms = np.zeros(len(rate))
+        terms[rows] = weighted
+        sums += [float(terms.sum()), float((terms * terms).sum())]
+    return tuple(sums)
 
 
 def _estimate_from_sums(total: float, total_sq: float, n: int, method: str) -> RateEstimate:
@@ -418,12 +414,16 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     the same, so still positive.  ``n_samples`` counts the nodes of the
     full symmetric rule.
 
-    The nodes go through :func:`_post_selected_rates`, which computes no
-    spectra where chi(A; E_A) proves the certified rule cannot keep the
-    node (97% of the 16-node grid at 2 km), with the value that
-    ``certified_rates`` on every node gives, bit for bit.  The joint
-    density is evaluated on the kept nodes alone (0.3% of that grid) and
-    scattered into a zero array, so each chunk sums the same terms.
+    The nodes go through the node loop :func:`_node_rates` without its raw
+    column, so chi(A; E_A) spares the spectra of 97% of the 16-node grid at
+    2 km, and node weights and joint density are formed on the kept nodes
+    alone (0.3% of that grid); the values are bit for bit those of
+    ``certified_rates`` on every node.
+
+    It under-resolves an asymmetric sigma: the outcome axis's node density
+    follows the largest sigma, and the wide axis gets no more nodes than the
+    narrow ones.  At 0 km, sigma = (30, 1, 1), 8, 16 and 24 nodes give
+    2.4e-5, 6.52e-3 and 4.04e-3 against an MC value of 6.01e-3 +- 1.1e-4.
     """
     if _integer(nodes_per_axis, "nodes_per_axis") < 8:
         raise ValueError("nodes_per_axis must be at least 8")
@@ -445,16 +445,15 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     for start in range(0, n_points, _QUAD_CHUNK):
         index = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, n_points)), shape)
         points = np.stack([nodes[i] for (nodes, _), i in zip(axes, index)], axis=1)
-        quad_weights = np.prod(np.stack([w[i] for (_, w), i in zip(axes, index)], axis=1), axis=1)
-        mags = points[:, :3]
-        gamma = points[:, 3]
-        rate_ps = _post_selected_rates(mags, gamma, params)
-        # Weigh the kept nodes only; every other term is 0, as in the full array.
-        kept = np.flatnonzero(rate_ps)
-        outcome, mag_density = _joint_density_factors(mags[kept], gamma[kept], params)
-        terms = np.zeros(len(rate_ps))
-        terms[kept] = quad_weights[kept] * outcome * mag_density * rate_ps[kept]
-        total += float(terms.sum())
+        mags, gamma = points[:, :3], points[:, 3]
+
+        def weigh(rows):
+            node_weights = np.prod([w[i[rows]] for (_, w), i in zip(axes, index)], axis=0)
+            outcome, mag_density = _joint_density_factors(mags[rows], gamma[rows], params)
+            return node_weights * outcome * mag_density
+
+        _, rate_ps = _node_rates(mags, gamma, params, raw=False)
+        total += _weighted_sums([rate_ps], weigh)[0]
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 
 

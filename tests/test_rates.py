@@ -28,7 +28,7 @@ from cvconf.rates import (
     _TILE,
     _information_terms,
     _mc_block,
-    _post_selected_rates,
+    _node_rates,
     _rate_bound,
     _rate_terms,
     _screened,
@@ -77,8 +77,16 @@ def _mixture_draws(params, n, seed):
     return mags, rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
 
 
+def _post_selected(mags, gamma, params):
+    """The node loop's screened view: the post-selected column alone."""
+    rate, rate_ps = _node_rates(mags, gamma, params, raw=False)
+    assert rate is None
+    return rate_ps
+
+
 def _screen(mags, gamma, params):
-    """The rows that the quadrature's loop screens out before their spectra."""
+    """The rows that the node loop, without its raw column, screens out
+    before their spectra."""
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
     return _screened(tables, overlap_deficits_batch(mags, params), rel_err, mi, mi_err)
 
@@ -101,12 +109,12 @@ def _grid_points(params, nodes_per_axis):
     """The (magnitudes, outcomes) at which the quadrature evaluates its integrand."""
     chunks = []
 
-    def recording(mags, gamma, params):
+    def recording(mags, gamma, params, raw):
         chunks.append((mags.copy(), gamma.copy()))
-        return np.zeros(len(gamma))
+        return None, np.zeros(len(gamma))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cvconf.rates, "_post_selected_rates", recording)
+        patch.setattr(cvconf.rates, "_node_rates", recording)
         quadrature_cross_check(params, nodes_per_axis=nodes_per_axis)
     return np.concatenate([m for m, _ in chunks]), np.concatenate([g for _, g in chunks])
 
@@ -500,9 +508,9 @@ class TestRowLocality:
 
 
 class TestScreen:
-    """The quadrature's loop skips the spectra of rows that chi(A; E_A) proves
-    the certified rule cannot keep, and returns the post-selected part of
-    certified_rates bit for bit."""
+    """The node loop without its raw column skips the spectra of rows that
+    chi(A; E_A) proves the certified rule cannot keep, and returns the
+    post-selected part of certified_rates bit for bit."""
 
     @pytest.fixture
     def chi_rows(self, monkeypatch):
@@ -537,7 +545,7 @@ class TestScreen:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=65)
-        rate_ps = _post_selected_rates(mags, gamma, params)
+        rate_ps = _post_selected(mags, gamma, params)
         live = sum(chi_rows)
         assert 0 < live < len(gamma) // 10  # over 90% screened
         assert live == np.count_nonzero(~_screen(mags, gamma, params))
@@ -548,14 +556,16 @@ class TestScreen:
         """Every chunk of an 8-node grid at 2 km, over 90% of it screened."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
         shares = []
+        node_rates = cvconf.rates._node_rates
 
-        def checking(mags, gamma, params):
-            rate_ps = _post_selected_rates(mags, gamma, params)
-            assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+        def checking(mags, gamma, params, raw):
+            assert not raw
+            rate, rate_ps = node_rates(mags, gamma, params, raw)
+            assert np.array_equal(rate_ps, node_rates(mags, gamma, params, raw=True)[1])
             shares.append(_screen(mags, gamma, params).mean())
-            return rate_ps
+            return rate, rate_ps
 
-        monkeypatch.setattr(cvconf.rates, "_post_selected_rates", checking)
+        monkeypatch.setattr(cvconf.rates, "_node_rates", checking)
         quad = quadrature_cross_check(params, nodes_per_axis=8)
         assert quad.value > 0.0
         assert shares and np.mean(shares) > 0.9
@@ -566,7 +576,7 @@ class TestScreen:
         screened = np.flatnonzero(_screen(mags, gamma, params))[:_TILE]
         assert len(screened) == _TILE
         mags, gamma = mags[screened], gamma[screened]
-        rate_ps = _post_selected_rates(mags, gamma, params)
+        rate_ps = _post_selected(mags, gamma, params)
         assert chi_rows == [0]
         assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
 
@@ -575,7 +585,7 @@ class TestScreen:
         within its own bound can be screened."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0))
         mags, gamma = _mixture_draws(params, _TILE, seed=68)
-        rate_ps = _post_selected_rates(mags, gamma, params)
+        rate_ps = _post_selected(mags, gamma, params)
         screened = _screen(mags, gamma, params)
         _, _, mi, mi_err = _information_terms(mags, gamma, params)
         assert chi_rows == [np.count_nonzero(~screened)]
@@ -599,7 +609,7 @@ class TestScreen:
         for k, row in enumerate(picks):
             tile = np.insert(filler, 500 * k, row)
             chi_rows.clear()
-            rate_ps = _post_selected_rates(mags[tile], gamma[tile], params)
+            rate_ps = _post_selected(mags[tile], gamma[tile], params)
             assert chi_rows == [1]
             assert np.array_equal(rate_ps, want[tile])
 
@@ -617,7 +627,7 @@ class TestScreen:
         monkeypatch.setattr(cvconf.rates, "certified_rates", recording)
         _mc_block((11, 3, 2 * _TILE + 37, params))
         (mags, gamma), = draws
-        assert np.array_equal(_post_selected_rates(mags, gamma, params),
+        assert np.array_equal(_post_selected(mags, gamma, params),
                               certified_rates(mags, gamma, params)[1])
 
     def test_grid_spectra_for_few_rows(self, chi_rows):
@@ -643,7 +653,7 @@ class TestScreen:
         closest = kept[np.argsort(rate[kept] - err)[:20]]
         assert len(closest) == 20
         assert not _screen(mags[closest], gamma[closest], params).any()
-        assert np.array_equal(_post_selected_rates(mags[closest], gamma[closest], params),
+        assert np.array_equal(_post_selected(mags[closest], gamma[closest], params),
                               rate_ps[closest])
 
 
@@ -690,12 +700,13 @@ class TestQuadratureCrossCheck:
 
     def test_evaluates_half_the_rule(self, monkeypatch):
         rows = []
+        node_rates = cvconf.rates._node_rates
 
-        def counting(mags, gamma, params):
+        def counting(mags, gamma, params, raw):
             rows.append(gamma.copy())
-            return _post_selected_rates(mags, gamma, params)
+            return node_rates(mags, gamma, params, raw)
 
-        monkeypatch.setattr(cvconf.rates, "_post_selected_rates", counting)
+        monkeypatch.setattr(cvconf.rates, "_node_rates", counting)
         quad = quadrature_cross_check(ProtocolParams(tau=(1.0, 1.0, 1.0)), nodes_per_axis=8)
         gamma = np.concatenate(rows)
         assert 2 * gamma.size == quad.n_samples
@@ -782,9 +793,11 @@ def test_weights_shrink_with_distance():
     lambda params: estimate_rates_mc(params, 100),
     lambda params: quadrature_cross_check(params, 8),
 ], ids=["mc", "quadrature"])
+@pytest.mark.filterwarnings("error")
 def test_overflowing_sigma_is_named(estimate):
     """A sigma whose announcements square past the float range is named
-    before any spectrum, not left to the eigensolver's LinAlgError."""
+    before any spectrum, not left to the eigensolver's LinAlgError, and
+    before any warning of an overflow on the way."""
     params = ProtocolParams(tau=(1.0, 1.0, 1.0), sigma=(1e160, 1.0, 1.0))
     with pytest.raises(ValueError, match="sigma is too large"):
         estimate(params)

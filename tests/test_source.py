@@ -112,3 +112,24 @@ def test_tap_model_is_written_once():
                 callers.add(f"{path.stem}.{_enclosing(tree, node)}")
     assert formed == ["protocol._tap_exponents"]
     assert {"protocol.eve_conditional_means", "holevo._overlap_exponents"} <= callers
+
+
+def test_one_node_loop():
+    """One tile loop, ``range(0, n, _TILE)`` in ``rates._node_rates``,
+    evaluates the nodes of both estimators, and both the Monte-Carlo block
+    and the quadrature reduce them through ``rates._weighted_sums``."""
+    loops, callers, names = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range" and \
+                    len(node.args) == 3 and getattr(node.args[0], "value", None) == 0 and \
+                    getattr(node.args[2], "id", None) == "_TILE":
+                loops.append(f"{path.stem}.{_enclosing(tree, node)}")
+            if isinstance(node, ast.Name) and node.id == "_weighted_sums":
+                callers.add(f"{path.stem}.{_enclosing(tree, node)}")
+            if isinstance(node, (ast.FunctionDef, ast.Name)):
+                names.add(getattr(node, "name", None) or node.id)
+    assert loops == ["rates._node_rates"]
+    assert "_post_selected_rates" not in names
+    assert {"rates._mc_block", "rates.quadrature_cross_check"} <= callers
