@@ -40,7 +40,7 @@ from .gaussian import symplectic_eigenvalues
 from .holevo import assemble_total_state, eve_overlaps, gram_oracle_entropy, \
     gram_spectrum, von_neumann_entropy
 from .inference import sign_posterior_table
-from .protocol import ProtocolParams, eve_conditional_means, mean_coefficients, \
+from .protocol import ProtocolParams, _draw_outcomes, eve_conditional_means, \
     outcome_density, simulate_relay
 from .rates import MAX_SAMPLES, _single_point_terms, sweep_distance
 
@@ -247,7 +247,7 @@ def _render_json(records: list[dict], config: RunConfig) -> str:
         "metadata": {
             "version": __version__,
             "attenuation_db_per_km": config.atten_db_km,
-            "attenuation_exponent_per_km": config.atten_db_km / 10.0,
+            "attenuation_exponent_per_km": config.params_at(0.0).attenuation_exponent,
             "config": {
                 "mode": config.mode,
                 "distances": [r["distance_km"] for r in records],
@@ -307,7 +307,8 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
     for the eavesdropper's state: the largest deviation of its covariance
     from the identity and of its p-means from ``eve_conditional_means``, the
     view of the tap exponents behind every overlap, and its smallest
-    symplectic eigenvalue.  Acceptance criterion 5 draws from here.
+    symplectic eigenvalue.  The outcome is drawn by ``_draw_outcomes``, the
+    draw side of that model.  Acceptance criterion 5 draws from here.
     """
     params = ProtocolParams(
         tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
@@ -316,7 +317,7 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
     signs = rng.choice([-1.0, 1.0], 3)
     p_mags = np.abs(rng.normal(0.0, params.sigma))
     q_mags = np.abs(rng.normal(0.0, params.sigma))
-    gamma = float(rng.normal(mean_coefficients(params) @ (signs * p_mags), 1.0))
+    gamma = float(_draw_outcomes(rng, signs, p_mags, params))
     result = simulate_relay(signs, q_mags, p_mags, params,
                             (rng.normal(), rng.normal(), gamma))
     want = outcome_density(signs, p_mags, gamma, params)
@@ -343,8 +344,9 @@ def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, f
     """One random announcement's constructed density matrix against the Gram oracle.
 
     Returns the largest deviation of the constructed total state's spectrum
-    from the Gram spectrum, and of its entropy from the Gram entropy.
-    Acceptance criterion 4 draws from here.
+    from the Gram spectrum, and of its entropy from the Gram entropy.  The
+    outcome is drawn by ``_draw_outcomes``.  Acceptance criterion 4 draws
+    from here.
     """
     params = ProtocolParams(
         tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
@@ -353,7 +355,7 @@ def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, f
     )
     mags = np.abs(rng.normal(0.0, params.sigma))
     signs = rng.choice([-1.0, 1.0], 3)
-    gamma = float(rng.normal(mean_coefficients(params) @ (signs * mags), 1.0))
+    gamma = float(_draw_outcomes(rng, signs, mags, params))
     table = sign_posterior_table(mags, gamma, params)
     overlaps = eve_overlaps(mags, params)
     rho = assemble_total_state(table, overlaps)

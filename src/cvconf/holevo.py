@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import PosteriorTable, _eta, posterior_table_batch
-from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _one_announcement, \
+from .inference import _EPS, PosteriorTable, _eta, posterior_table_batch
+from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _floats, _one_announcement, \
     _tap_exponents
 
 __all__ = [
@@ -72,8 +72,6 @@ __all__ = [
     "gram_oracle_entropy",
     "single_point_holevo",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # Absolute error of the computed eigenvalues of an assembled n x n state
 # of unit trace: about 10 ulps from the entrywise assembly (its error
@@ -239,16 +237,20 @@ def assemble_total_state(table: PosteriorTable, overlaps) -> EveDensityMatrix:
     over sign triples; on the diagonal the sum collapses to 1, leaving
     the squared coefficient products.
     """
-    x = np.asarray(overlaps, dtype=float)
+    x = _checked_overlaps(overlaps)
     if x.shape != (3,):
-        raise ValueError("need one overlap per party")
+        raise ValueError("overlaps: need one per party")
     rho = _assemble_batch(table.probs[None, :], 1.0 - x[None, :])[0]
     return EveDensityMatrix(rho)
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits over the last axis, eigenvalues clipped to [0, 1]."""
-    return _eta(np.clip(lam, 0.0, 1.0)).sum(axis=-1) + 0.0  # +0.0 avoids -0.0
+def _checked_overlaps(overlaps) -> np.ndarray:
+    """Pairwise overlaps as a 1-D float array; one outside [0, 1], NaN
+    included, raises ValueError naming them."""
+    x = np.atleast_1d(_floats(overlaps, "overlaps"))
+    if not all(0.0 <= xi <= 1.0 for xi in x.ravel().tolist()):
+        raise ValueError(f"overlaps must lie in [0, 1], got {overlaps!r}")
+    return x
 
 
 def _entropy_with_bound(lam: np.ndarray, rel_err, abs_err: float) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +281,7 @@ def von_neumann_entropy(rho) -> float:
     beyond tolerance, raises ValueError.  The matrix is diagonalised once.
     """
     dm = rho if isinstance(rho, EveDensityMatrix) else EveDensityMatrix(np.asarray(rho))
-    return float(_entropy_of_eigenvalues(dm.validate()))
+    return float(_entropy_with_bound(dm.validate(), 0.0, 0.0)[0])
 
 
 def gram_spectrum(weights, overlaps) -> np.ndarray:
@@ -288,14 +290,17 @@ def gram_spectrum(weights, overlaps) -> np.ndarray:
     For rho = sum_m w_m |psi_m><psi_m| the nonzero spectrum equals that of
     G_mn = sqrt(w_m w_n) <psi_m|psi_n>, with the overlaps given by the
     tensor product of per-party 2x2 blocks [[1, X], [X, 1]].  Accepts
-    eight weights with three overlaps, or four weights with two.
+    eight weights with three overlaps, or four weights with two; an overlap
+    outside [0, 1], or weights that are not a probability vector (NaN
+    included), raise ValueError naming them.
     """
-    w = np.asarray(weights, dtype=float)
-    x = np.atleast_1d(np.asarray(overlaps, dtype=float))
+    w = _floats(weights, "weights")
+    x = _checked_overlaps(overlaps)
     if w.shape != (2 ** x.size,):
         raise ValueError("need 2**k weights for k overlaps")
-    if abs(w.sum() - 1.0) > 1e-10 or np.any(w < 0.0):
-        raise ValueError("weights must be a probability vector")
+    # Written so that NaN weights fail too.
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-10):
+        raise ValueError(f"weights must be a probability vector, got {weights!r}")
     gram = np.array([[1.0]])
     for xi in x:
         gram = np.kron(gram, np.array([[1.0, xi], [xi, 1.0]]))
@@ -305,7 +310,7 @@ def gram_spectrum(weights, overlaps) -> np.ndarray:
 
 def gram_oracle_entropy(weights, overlaps) -> float:
     """Mixture entropy in bits from :func:`gram_spectrum`."""
-    return float(_entropy_of_eigenvalues(gram_spectrum(weights, overlaps)))
+    return float(_entropy_with_bound(gram_spectrum(weights, overlaps), 0.0, 0.0)[0])
 
 
 def single_point_holevo(mags, gamma: float, params: ProtocolParams) -> float:

@@ -44,6 +44,7 @@ __all__ = [
 _A_POS = SIGN_PATTERNS[:, 0] > 0
 _B_POS = SIGN_PATTERNS[:, 1] > 0
 
+# Machine epsilon: every error bound of the package counts in its ulps.
 _EPS = float(np.finfo(float).eps)
 
 

@@ -14,7 +14,9 @@ each of the eight sign triples, in ``SIGN_PATTERNS`` order.  The sign
 posterior both rate estimators use, the quadrature's joint density and the
 one-announcement :func:`outcome_density` are views of it, so the full
 phase-space pipeline built on :mod:`cvconf.gaussian`, its independent
-oracle, checks the likelihood the estimators use.
+oracle, checks the likelihood the estimators use.  Its draw side,
+:func:`_draw_outcomes`, sits beside it: the Monte-Carlo estimator and both
+oracle suites draw their outcomes from it.
 
 So is the tap model, :func:`_tap_exponents`: the eavesdropper's means
 that the pipeline checks and the overlaps behind every Holevo value are
@@ -130,9 +132,15 @@ def transmissivity_from_distance(distance_km: float, attenuation_exponent: float
     A distance that is not a real number, or is NaN, infinite or negative,
     raises ValueError naming it, and so does one so far that tau underflows
     to 0 (beyond about 16 000 km at 0.2 dB/km).
+    A non-real, NaN, infinite or negative ``attenuation_exponent`` raises
+    ValueError naming it, as a negative one would give tau > 1.
     """
     if not (isinstance(distance_km, numbers.Real) and 0.0 <= distance_km < math.inf):
         raise ValueError(f"distance_km must be finite and non-negative, got {distance_km!r}")
+    if not (isinstance(attenuation_exponent, numbers.Real)
+            and 0.0 <= attenuation_exponent < math.inf):
+        raise ValueError("attenuation_exponent must be finite and non-negative, "
+                         f"got {attenuation_exponent!r}")
     tau = 10.0 ** (-attenuation_exponent * distance_km)
     if tau == 0.0:
         raise ValueError(f"distance_km {distance_km!r} is too far: the transmissivity "
@@ -206,6 +214,14 @@ def _outcome_exponents(mags: np.ndarray, gamma: np.ndarray,
     """
     means = (np.asarray(mags) * mean_coefficients(params)) @ SIGN_PATTERNS.T
     return -0.5 * (np.asarray(gamma)[:, None] - means) ** 2
+
+
+def _draw_outcomes(rng: np.random.Generator, signs, mags,
+                   params: ProtocolParams) -> np.ndarray | float:
+    """The draw side of :func:`_outcome_exponents`: reconciled outcomes
+    ~ N(sum_i w_i * s_i * mag_i, 1) for signs and magnitudes (..., 3), one
+    standard normal of ``rng`` per outcome."""
+    return rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
 
 
 def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:

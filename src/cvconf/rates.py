@@ -10,21 +10,23 @@ The keep/drop decision is certified: every announcement carries a bound
 on the distance between the computed and the exact I - chi, and it is
 kept only when the computed rate exceeds that bound, so every kept
 announcement has an exactly positive rate.  Both estimators share this
-decision, and one node loop computes it for both (:func:`_node_rates`).
+decision, and one node loop computes it for both (:func:`_node_rates`)
+from one per-row evaluation (:func:`_rate_terms`).
 
 The Monte-Carlo estimator importance-samples the announcements from a
 defensive mixture (Hesterberg, Technometrics 1995; Owen, *Monte Carlo
 theory, methods and examples*, ch. 9): uniform signs; magnitudes, for
 all three parties at once, from the physical half-normal or, with
-probability 1/2, from one three times as wide; and the outcome drawn
-around its conditional mean.  Each sample is weighted by the likelihood
-ratio of the physical to the mixture density, which never exceeds 2, so
-the estimator's variance is at most twice that of plain sampling while
-the wide component reaches the large magnitudes where post-selection
-keeps announcements.  Reproducibility contract: sample i draws its
-randomness from (seed, i) alone via counter-based generators keyed per
-fixed-size block, and all reductions run in fixed block order, so
-results are bit-identical for any degree of parallelism.
+probability 1/2, from one three times as wide; and the outcome drawn from
+the outcome model itself (:func:`~cvconf.protocol._draw_outcomes`), so
+only the magnitudes need a correction.  Each sample is weighted by the
+likelihood ratio of the physical to the mixture density, which never
+exceeds 2, so the estimator's variance is at most twice that of plain
+sampling while the wide component reaches the large magnitudes where
+post-selection keeps announcements.  Reproducibility contract: sample i
+draws its randomness from (seed, i) alone via counter-based generators
+keyed per fixed-size block, and all reductions run in fixed block order,
+so results are bit-identical for any degree of parallelism.
 
 A deterministic tensor-product quadrature over the truncated announcement
 domain, using the explicit joint density as weight, cross-validates the
@@ -47,9 +49,9 @@ import numpy as np
 
 from .holevo import _holevo_in_range, _holevo_with_bound, _own_tap_holevo_with_bound, \
     overlap_deficits_batch
-from .inference import _mi_with_bound, posterior_rel_err, posterior_table_batch
-from .protocol import ProtocolParams, _joint_density_factors, _one_announcement, \
-    mean_coefficients
+from .inference import _EPS, _mi_with_bound, posterior_rel_err, posterior_table_batch
+from .protocol import ProtocolParams, _draw_outcomes, _joint_density_factors, \
+    _one_announcement, mean_coefficients
 # Not called here; the benchmark's span tracer wraps these two names of this module.
 from .holevo import single_point_holevo  # noqa: F401
 from .inference import single_point_mi  # noqa: F401
@@ -74,8 +76,6 @@ BLOCK_SIZE = 1 << 16
 # Largest sample count per estimate: 2**18 blocks, so the block task list
 # stays small (days of CPU at ~1e5 samples/s per process).
 MAX_SAMPLES = 1 << 34
-
-_EPS = float(np.finfo(float).eps)
 
 # Width of the defensive mixture's second magnitude component, in units
 # of sigma, and the per-draw log density ratio it implies.
@@ -129,16 +129,24 @@ def single_point_rate(mags, gamma: float, params: ProtocolParams) -> float:
 def _single_point_terms(mags, gamma: float, params: ProtocolParams) -> tuple[float, float]:
     """I(A:B) and chi(A) of one announcement from one posterior table, chi checked
     and projected onto [0, 1] as by ``single_point_holevo``."""
-    mi, chi, _ = _rate_terms(*_one_announcement(mags, gamma), params)
+    _, mi, chi, _ = _rate_terms(*_one_announcement(mags, gamma), params)
     return float(mi[0]), _holevo_in_range(float(chi[0]))
 
 
-def _rate_terms(mags: np.ndarray, gamma: np.ndarray,
-                params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I(A:B), chi(A), and a bound on |computed - exact| of I - chi."""
+def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams, screen: bool = False
+                ) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one per-row evaluation: ``(live, mi, chi, err)``, where I(A:B),
+    chi(A) and the bound ``err`` on |computed - exact| of I - chi are those
+    of the rows ``live`` selects.  ``live`` is every row, ``slice(None)``,
+    unless ``screen``, when it drops the rows :func:`_screened` proves the
+    certified keep rule cannot keep.  Each row's values are its own, whatever
+    the batch.
+    """
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
-    chi, chi_err = _holevo_with_bound(tables, overlap_deficits_batch(mags, params), rel_err)
-    return mi, chi, _rate_bound(mi, mi_err, chi, chi_err)
+    deficits = overlap_deficits_batch(mags, params)
+    live = ~_screened(tables, deficits, rel_err, mi, mi_err) if screen else slice(None)
+    chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
+    return live, mi[live], chi, _rate_bound(mi[live], mi_err[live], chi, chi_err)
 
 
 def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams
@@ -181,22 +189,19 @@ def _node_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
                 raw: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """``(rate, rate_ps)`` of :func:`certified_rates`, with ``rate`` None
     unless ``raw``, in tiles of ``_TILE`` so the core's memory does not grow
-    with n.  The raw rate needs chi(A) on every row; without it, chi runs
-    only on the rows :func:`_screened` leaves (about 3% of the quadrature's
-    nodes at 2 km), and a screened row gets the 0.0 the full rule gives it.
-    Each row's values are those of :func:`_rate_terms` on that row alone.
+    with n.  Each tile is one call of :func:`_rate_terms`, whose values are
+    those of each row alone.  The raw rate needs chi(A) on every row; without
+    it, the tile is screened, chi runs only on the rows :func:`_screened`
+    leaves (about 3% of the quadrature's nodes at 2 km), and a screened row
+    gets the 0.0 the full rule gives it.
     """
     n = len(gamma)
     rate = np.empty(n) if raw else None
     rate_ps = np.zeros(n)
     for start in range(0, n, _TILE):
         tile = slice(start, start + _TILE)
-        tables, rel_err, mi, mi_err = _information_terms(mags[tile], gamma[tile], params)
-        deficits = overlap_deficits_batch(mags[tile], params)
-        live = slice(None) if raw else ~_screened(tables, deficits, rel_err, mi, mi_err)
-        chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
-        mi = mi[live]
-        rate_live, err = mi - chi, _rate_bound(mi, mi_err[live], chi, chi_err)
+        live, mi, chi, err = _rate_terms(mags[tile], gamma[tile], params, screen=not raw)
+        rate_live = mi - chi
         if raw:
             rate[tile] = rate_live
         # Kept where it exceeds its bound, so the exact rate is positive.
@@ -264,8 +269,7 @@ def _mc_block(args) -> tuple[float, float, float, float]:
     signs = 2.0 * rng.integers(0, 2, size=(count, 3)) - 1.0
     z = np.abs(rng.normal(0.0, 1.0, size=(count, 3))) * np.where(wide, _WIDE, 1.0)[:, None]
     mags = z * sigma
-    means = (signs * mags) @ mean_coefficients(params)
-    gamma = rng.normal(means, 1.0)
+    gamma = _draw_outcomes(rng, signs, mags, params)
     # p/q = 2 / (1 + q_wide/p) with log(q_wide/p) = slope*|z|^2 + offset.
     log_ratio = _LOG_WIDE_RATIO_SLOPE * (z * z).sum(axis=1) + _LOG_WIDE_RATIO_OFFSET
     weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
@@ -381,11 +385,11 @@ def _estimate_each(params_list, n_samples: int, seed: int,
     return estimates
 
 
-def _composite_gauss_legendre(lo: float, hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule with at least n_nodes points."""
+def _composite_gauss_legendre(hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, hi] with at least n_nodes points."""
     n_panels = max(1, -(-n_nodes // _PANEL_DEGREE))
     base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_DEGREE)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(0.0, hi, n_panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).reshape(-1)
@@ -431,10 +435,10 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     m_max = float(mean_coefficients(params) @ (8.0 * sigma))
     g_hi = m_max + 8.0
 
-    mag_axes = [_composite_gauss_legendre(0.0, 8.0 * s, nodes_per_axis) for s in sigma]
+    mag_axes = [_composite_gauss_legendre(8.0 * s, nodes_per_axis) for s in sigma]
     density = nodes_per_axis / (8.0 * sigma.max())
     g_half_req = max(nodes_per_axis // 2, int(math.ceil(g_hi * density)), 8)
-    g_nodes, g_half_weights = _composite_gauss_legendre(0.0, g_hi, g_half_req)
+    g_nodes, g_half_weights = _composite_gauss_legendre(g_hi, g_half_req)
 
     axes = mag_axes + [(g_nodes, 2.0 * g_half_weights)]
     shape = tuple(len(nodes) for nodes, _ in axes)

@@ -138,7 +138,7 @@ class TestCriterion6LimitSuite:
         params_lossless = ProtocolParams(tau=(1.0, 1.0, 1.0))
         mags = np.abs(rng.normal(0.0, 1.0, size=(10_000, 3)))
         gamma = rng.normal(0.0, 2.0, size=10_000)
-        _, chi_lossless, _ = _rate_terms(mags, gamma, params_lossless)
+        _, _, chi_lossless, _ = _rate_terms(mags, gamma, params_lossless)
         chi_lossless_ok = bool(np.max(np.abs(chi_lossless)) <= 1e-12)
 
         # Zero magnitudes: both information quantities vanish.
@@ -147,7 +147,7 @@ class TestCriterion6LimitSuite:
             params = ProtocolParams(tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12))
             g = rng.normal(0.0, 2.0, size=100)
             zero_mags = np.zeros((100, 3))
-            mi, chi, _ = _rate_terms(zero_mags, g, params)
+            _, mi, chi, _ = _rate_terms(zero_mags, g, params)
             zero_ok &= bool(np.max(mi) <= 1e-12)
             zero_ok &= bool(np.max(np.abs(chi)) <= 1e-12)
 
@@ -163,7 +163,7 @@ class TestCriterion6LimitSuite:
             signs = rng.choice([-1.0, 1.0], size=(1000, 3))
             means = (signs * m) @ mean_coefficients(params)
             g = rng.normal(means, 1.0)
-            mi, chi, _ = _rate_terms(m, g, params)
+            _, mi, chi, _ = _rate_terms(m, g, params)
             mi_lo, mi_hi = min(mi_lo, mi.min()), max(mi_hi, mi.max())
             chi_lo, chi_hi = min(chi_lo, chi.min()), max(chi_hi, chi.max())
         bounds_ok = (mi_lo >= 0.0 and mi_hi <= 1.0

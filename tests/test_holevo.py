@@ -20,6 +20,7 @@ from cvconf.holevo import (
     assemble_total_state,
     eve_overlaps,
     gram_oracle_entropy,
+    gram_spectrum,
     overlap_deficits_batch,
     single_point_holevo,
     von_neumann_entropy,
@@ -157,6 +158,18 @@ class TestAssembleTotalState:
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("overlaps", [(2.0, 0.5, 0.5), (math.nan, 0.5, 0.5),
+                                          (-0.1, 0.5, 0.5), (0.5, 0.5, math.inf)])
+    def test_rejects_overlaps_outside_the_unit_interval(self, overlaps):
+        """Named before any square root, rather than built into a NaN matrix."""
+        table = PosteriorTable(np.full(8, 0.125))
+        with pytest.raises(ValueError, match="overlaps must lie in"):
+            assemble_total_state(table, overlaps)
+
+    def test_rejects_wrong_overlap_count(self):
+        with pytest.raises(ValueError, match="overlaps"):
+            assemble_total_state(PosteriorTable(np.full(8, 0.125)), (0.5, 0.5))
+
     def test_valid_density_matrix(self):
         rng = np.random.default_rng(34)
         for _ in range(50):
@@ -281,6 +294,28 @@ class TestGramOracleEntropy:
         with pytest.raises(ValueError, match="weights"):
             gram_oracle_entropy(np.full(8, 0.125), (0.5, 0.5))
 
+    @pytest.mark.parametrize("weights", [[math.nan] * 8, [0.25] * 4 + [math.nan] * 4,
+                                         [0.375] + [0.125] * 6 + [-0.125], [0.25] * 8])
+    def test_rejects_weights_that_are_not_a_probability_vector(self, weights):
+        """NaN weights are named, rather than left to the eigensolver."""
+        with pytest.raises(ValueError, match="weights must be a probability vector"):
+            gram_spectrum(weights, (0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="weights must be a probability vector"):
+            gram_oracle_entropy(weights, (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("overlaps", [(2.0, 0.5, 0.5), (math.nan, 0.5, 0.5),
+                                          (0.5, -1e-3, 0.5)])
+    def test_rejects_overlaps_outside_the_unit_interval(self, overlaps):
+        """Named, rather than returning a negative eigenvalue (-0.28 at X_A = 2)."""
+        with pytest.raises(ValueError, match="overlaps must lie in"):
+            gram_spectrum(np.full(8, 0.125), overlaps)
+        with pytest.raises(ValueError, match="overlaps must lie in"):
+            gram_oracle_entropy(np.full(8, 0.125), overlaps)
+
+    def test_rejects_a_conditional_overlap_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="overlaps must lie in"):
+            gram_spectrum(np.full(4, 0.25), (0.5, 1.5))
+
     def test_fock_space_anchor(self):
         """Independent of every package code path: the amplitude-convention
         total-state entropy equals a truncated Fock-space construction of
@@ -376,7 +411,7 @@ class TestSinglePointHolevo:
         mags = np.abs(rng.normal(0, p.sigma, size=(10_000, 3)))
         means = (mags * mean_coefficients(p)) @ SIGN_PATTERNS.T
         gamma = rng.normal(means[:, 0], 1.0)
-        _, chi, _ = _rate_terms(mags, gamma, p)
+        _, _, chi, _ = _rate_terms(mags, gamma, p)
         assert np.all(chi >= -1e-9)
         assert np.all(chi <= 1.0 + 1e-9)
 
@@ -478,7 +513,7 @@ class TestSinglePointHolevo:
         gamma = rng.normal(0.0, 2.0, 100)
         for m, g in zip(mags, gamma):
             assert single_point_holevo(m, g, p) == 0.0
-        assert np.all(_rate_terms(mags, gamma, p)[1] == 0.0)
+        assert np.all(_rate_terms(mags, gamma, p)[2] == 0.0)
 
 
 class TestEveDensityMatrixType:

@@ -10,8 +10,10 @@ from cvconf.inference import sign_posterior_table, single_point_mi
 from cvconf.protocol import (
     SIGN_PATTERNS,
     ProtocolParams,
+    _draw_outcomes,
     _joint_density_factors,
     _one_announcement,
+    _outcome_exponents,
     eve_conditional_means,
     mean_coefficients,
     outcome_density,
@@ -123,6 +125,15 @@ class TestTransmissivityFromDistance:
         with pytest.raises(ValueError, match="distance_km"):
             ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(20_000.0)
 
+    def test_zero_exponent_is_lossless(self):
+        assert transmissivity_from_distance(5.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, -0.02, "0.02", None])
+    def test_rejects_bad_attenuation_exponent(self, exponent):
+        """Named, rather than returned as NaN or, for -0.02 over 1 km, as tau = 1.047."""
+        with pytest.raises(ValueError, match="attenuation_exponent must be finite"):
+            transmissivity_from_distance(1.0, exponent)
+
 
 class TestMeanCoefficients:
     def test_unit_transmissivity_is_balanced(self):
@@ -169,6 +180,43 @@ class TestOutcomeDensity:
         p = ProtocolParams(tau=(1, 1, 1))
         with pytest.raises(ValueError, match="signs"):
             outcome_density((1, 0, 1), (1, 1, 1), 0.0, p)
+
+
+class _RecordingRng:
+    """Records each ``normal(loc, scale)`` call and returns its centre."""
+
+    def __init__(self):
+        self.calls = []
+
+    def normal(self, loc, scale):
+        self.calls.append((np.asarray(loc), scale))
+        return np.asarray(loc)
+
+
+class TestDrawOutcomes:
+    """The draw is the likelihood's own: each outcome is centred where its sign
+    triple's exponent peaks, and one unit of spread away the exponent is -1/2."""
+
+    def test_centre_and_spread_are_the_likelihoods(self):
+        rng = np.random.default_rng(12)
+        p = random_params(rng)
+        mags = np.abs(rng.normal(0.0, 2.0, (8, 3)))
+        recorder = _RecordingRng()
+        gamma = _draw_outcomes(recorder, SIGN_PATTERNS, mags, p)
+        [(centre, scale)] = recorder.calls
+        assert centre.shape == gamma.shape == (8,)
+        # Row t draws under SIGN_PATTERNS[t], column t of the exponents.
+        assert np.diag(_outcome_exponents(mags, centre, p)) == pytest.approx(0.0, abs=1e-28)
+        assert np.diag(_outcome_exponents(mags, centre + scale, p)) == pytest.approx(
+            -0.5, rel=1e-12)
+
+    def test_one_announcement_draws_one_standard_normal(self):
+        p = ProtocolParams(tau=(0.7, 0.8, 0.9))
+        signs, mags = np.array([1.0, -1.0, 1.0]), np.array([1.2, 0.3, 2.0])
+        got = _draw_outcomes(np.random.default_rng(5), signs, mags, p)
+        rng = np.random.default_rng(5)
+        want = float(mean_coefficients(p) @ (signs * mags)) + rng.standard_normal()
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def _outcome_density(mags, gamma, p):

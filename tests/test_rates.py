@@ -236,7 +236,7 @@ class TestEstimateRatesMc:
         p = ProtocolParams(tau=tuple(rng.uniform(0.4, 1.0, 3)))
         mags = np.abs(rng.normal(0, 1.0, size=(5_000, 3)))
         gamma = rng.normal(0, 2, 5_000)
-        mi, chi, _ = _rate_terms(mags, gamma, p)
+        _, mi, chi, _ = _rate_terms(mags, gamma, p)
         rate = mi - chi
         assert np.all(rate <= mi + 1e-12)
         assert np.all(mi <= 1.0)
@@ -368,7 +368,7 @@ class TestCertifiedDecision:
         mags = np.abs(rng.normal(0.0, 3.0 * sigma, size=(n, 3)))
         gamma = rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
         rate, rate_ps = certified_rates(mags, gamma, params)
-        err = _rate_terms(mags, gamma, params)[2]
+        err = _rate_terms(mags, gamma, params)[3]
         kept = rate_ps > 0.0
         screened = _screen(mags, gamma, params)
         mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
@@ -408,7 +408,7 @@ class TestCertifiedDecision:
         mags = np.abs(rng.normal(0.0, 2.0, size=(2_000, 3)))
         gamma = rng.normal(0.0, 2.0, 2_000)
         rate, rate_ps = certified_rates(mags, gamma, p)
-        mi, chi, err = _rate_terms(mags, gamma, p)
+        _, mi, chi, err = _rate_terms(mags, gamma, p)
         assert np.array_equal(rate, mi - chi)
         assert np.array_equal(rate_ps, np.where(rate > err, rate, 0.0))
         assert np.all(err > 0.0)
@@ -420,7 +420,7 @@ class TestCertifiedDecision:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
         mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=63)
         rate, rate_ps = certified_rates(mags, gamma, params)
-        mi, chi, err = _rate_terms(mags, gamma, params)
+        _, mi, chi, err = _rate_terms(mags, gamma, params)
         whole = mi - chi
         assert np.array_equal(rate, whole)
         assert np.array_equal(rate_ps, np.where(whole > err, whole, 0.0))
@@ -532,7 +532,7 @@ class TestScreen:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         mags, gamma = _mixture_draws(params, _TILE, seed=66)
-        _, chi, err = _rate_terms(mags, gamma, params)
+        _, _, chi, err = _rate_terms(mags, gamma, params)
         tables, rel_err, _, _ = _information_terms(mags, gamma, params)
         chi_low, chi_low_err = _own_tap_holevo_with_bound(
             tables, overlap_deficits_batch(mags, params), rel_err)
@@ -649,7 +649,7 @@ class TestScreen:
         mags, gamma = mags[open_rows], gamma[open_rows]
         rate, rate_ps = certified_rates(mags, gamma, params)
         kept = np.flatnonzero(rate_ps > 0.0)
-        err = _rate_terms(mags[kept], gamma[kept], params)[2]
+        err = _rate_terms(mags[kept], gamma[kept], params)[3]
         closest = kept[np.argsort(rate[kept] - err)[:20]]
         assert len(closest) == 20
         assert not _screen(mags[closest], gamma[closest], params).any()
@@ -672,8 +672,8 @@ class TestOutcomeMirror:
         gamma = rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
         rate, rate_ps = certified_rates(mags, gamma, params)
         mirror, mirror_ps = certified_rates(mags, -gamma, params)
-        err = _rate_terms(mags, gamma, params)[2]
-        mirror_err = _rate_terms(mags, -gamma, params)[2]
+        err = _rate_terms(mags, gamma, params)[3]
+        mirror_err = _rate_terms(mags, -gamma, params)[3]
         assert np.all(np.abs(rate - mirror) <= err + mirror_err)
         decisive = np.abs(rate) > 2.0 * np.maximum(err, mirror_err)
         assert np.array_equal((rate_ps > 0.0)[decisive], (mirror_ps > 0.0)[decisive])

@@ -133,3 +133,40 @@ def test_one_node_loop():
     assert loops == ["rates._node_rates"]
     assert "_post_selected_rates" not in names
     assert {"rates._mc_block", "rates.quadrature_cross_check"} <= callers
+
+
+def test_outcome_draw_is_written_once():
+    """A normal draw around the outcome mean, a function that both draws
+    ``.normal`` and names ``mean_coefficients``, is ``protocol._draw_outcomes``
+    alone, so what the Monte-Carlo block and both oracle suites draw is the
+    draw side of the likelihood beside it."""
+    drawers, callers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(top))
+            names = {node.id for node in nodes if isinstance(node, ast.Name)}
+            if "mean_coefficients" in names and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "normal"
+                    for node in nodes):
+                drawers.add(f"{path.stem}.{top.name}")
+            if "_draw_outcomes" in names:
+                callers.add(f"{path.stem}.{top.name}")
+    assert drawers == {"protocol._draw_outcomes"}
+    assert {"rates._mc_block", "cli._pipeline_check", "cli._spectrum_check"} <= callers
+
+
+def test_one_row_evaluation():
+    """``rates._rate_terms`` is the one per-row evaluation: in ``rates`` only
+    it calls the information terms, the screen and the Holevo core, and the
+    node loop ``_node_rates`` calls it."""
+    tree = ast.parse((SRC / "rates.py").read_text(encoding="utf-8"))
+    callers = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callers.setdefault(node.func.id, set()).add(_enclosing(tree, node))
+    for name in ("_information_terms", "_screened", "_holevo_with_bound"):
+        assert callers.get(name) == {"_rate_terms"}, name
+    assert "_node_rates" in callers["_rate_terms"]
