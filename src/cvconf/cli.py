@@ -177,7 +177,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     for lineno, raw in enumerate(lines, 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()

@@ -166,7 +166,8 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str,
     quadrature : {"q", "p"}
         Which quadrature is detected.
     outcome : float
-        Measured value in shot-noise units.
+        Measured value in shot-noise units; a NaN or infinite one raises
+        ValueError naming it.
 
     Returns
     -------
@@ -179,6 +180,8 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str,
         raise ValueError(f"mode index out of range for {n}-mode state")
     if quadrature not in ("q", "p"):
         raise ValueError("quadrature must be 'q' or 'p'")
+    if not math.isfinite(outcome):
+        raise ValueError(f"outcome must be finite, got {outcome!r}")
     m_idx = 2 * mode + (0 if quadrature == "q" else 1)
     keep = [k for k in range(2 * n) if k not in (2 * mode, 2 * mode + 1)]
 

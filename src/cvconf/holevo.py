@@ -34,11 +34,12 @@ correlations.
 The overlaps are views of :func:`cvconf.protocol._tap_exponents`.  The
 assembly works with the overlap deficit 1 - X (from ``expm1`` when the
 overlaps come from announcements), so the small coefficient c1 keeps full
-relative accuracy, and builds both state sizes by one rule
-(:func:`_parity_sums`).  Entropies use every eigenvalue, clipped to
-[0, 1].  Every Holevo value comes from one batched core
-(:func:`single_point_holevo` is its n = 1 view); a spectrum there with
-trace off 1, or an eigenvalue below 0, by more than 1e-10 raises
+relative accuracy, and builds both state sizes by one rule: entry (r, c)
+is c_r * c_c * S[r XOR c], where S, the Walsh-Hadamard transform of the
+sign weights, comes from one butterfly (:func:`_parity_sums`).  Entropies
+use every eigenvalue, clipped to [0, 1].  Every Holevo value comes from one
+batched core (:func:`single_point_holevo` is its n = 1 view); a spectrum
+there with trace off 1, or an eigenvalue below 0, by more than 1e-10 raises
 ValueError.  The core also returns a bound on the distance between the
 computed and the exact bound, built from the inputs' relative errors
 (which scale the spectrum) and the assembly and eigensolver rounding
@@ -74,10 +75,12 @@ __all__ = [
 ]
 
 # Absolute error of the computed eigenvalues of an assembled n x n state
-# of unit trace: about 10 ulps from the entrywise assembly (its error
-# matrix is dominated by 10*eps times the rank-one coefficient outer
-# product, of norm 1) plus the eigensolver's backward error, taken as
-# 2*n**2 ulps.
+# of unit trace: 10 ulps for the entrywise assembly plus the eigensolver's
+# backward error, taken as 2*n**2 ulps.  The butterfly puts each parity sum
+# within log2(n) ulps of the weights' sum, 1, so at most 3 ulps for n = 8,
+# and the two products of entry c_r * c_c * S add one more relative to it;
+# the error matrix is thus within 4*eps times the rank-one coefficient outer
+# product entrywise, whose norm is 1, well inside the 10 ulps allowed.
 _EIG_ABS_ERR = {n: (10.0 + 2.0 * n * n) * _EPS for n in (4, 8)}
 
 # Density-matrix checks: entrywise asymmetry; a spectrum's sum off 1 or
@@ -101,16 +104,11 @@ _A_ROWS = np.stack([np.flatnonzero(SIGN_PATTERNS[:, 0] > 0),
 _BITS4 = _BITS8[_A_ROWS[0], 1:]
 
 
-def _assembly_rule(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis bits (d, k), the signs (-1)**(bits[k] . bits[t]) of the
-    parity sums, and, per (r, c), the row whose bits are bits[r] XOR bits[c]."""
-    signs = (-1.0) ** (bits @ bits.T)
-    xor = np.abs(bits[:, None, :] - bits[None, :, :])
-    return bits, signs, np.argmax(np.all(xor[:, :, None, :] == bits, axis=-1), axis=-1)
-
-
-# One rule per state size: the 8x8 total state and the 4x4 conditional one.
-_RULES = {len(bits): _assembly_rule(bits) for bits in (_BITS8, _BITS4)}
+# One assembly rule per state size, the 8x8 total state and the 4x4
+# conditional one: the basis bits, whose row r holds the binary digits of r
+# (the butterfly's order), and, per (r, c), the row r XOR c.
+_RULES = {len(bits): (bits, np.bitwise_xor.outer(np.arange(len(bits)), np.arange(len(bits))))
+          for bits in (_BITS8, _BITS4)}
 
 
 @dataclass(frozen=True)
@@ -131,10 +129,10 @@ class EveDensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     def validate(self) -> np.ndarray:
-        """Ascending eigenvalues; ValueError unless symmetric, unit trace and PSD."""
+        """Ascending eigenvalues; ValueError unless finite, symmetric, unit trace and PSD."""
         m = self.matrix
-        if np.max(np.abs(m - m.T)) > _SYM_TOL:
-            raise ValueError("density matrix is not symmetric")
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= _SYM_TOL):
+            raise ValueError("density matrix is not finite and symmetric")
         return _checked_eigvalsh(m)
 
 
@@ -186,34 +184,34 @@ def _coefficient_vectors(deficits: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 def _assemble_batch(weights: np.ndarray, deficits: np.ndarray) -> np.ndarray:
     """Density matrices (..., d, d) from sign weights (..., d), d = 8 or 4, and
-    overlap deficits (..., k), broadcast over the leading axes."""
-    bits, signs, xor = _RULES[weights.shape[-1]]
+    overlap deficits (..., k), broadcast over the leading axes: entry (r, c)
+    is c_r * c_c * S[r XOR c], S the parity sums :func:`_parity_sums`."""
+    bits, xor = _RULES[weights.shape[-1]]
     cvec = _coefficient_vectors(deficits, bits)
-    return cvec[..., :, None] * cvec[..., None, :] * _parity_sums(weights, signs)[..., xor]
+    return cvec[..., :, None] * cvec[..., None, :] * _parity_sums(weights)[..., xor]
 
 
-def _parity_sums(weights: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """S[..., k] = sum_t signs[k, t] * weights[..., t], with signs[k, t] =
-    (-1)**popcount(k & t), in a fixed elementwise order, for d = 8 or 4.
+def _parity_sums(weights: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum_t (-1)**popcount(k & t) * weights[..., t], the
+    Walsh-Hadamard transform of the last axis (length a power of 2), by the
+    butterfly on a C-ordered copy: one stage per bit of t, least significant
+    first, each replacing the pair (a, b) differing in that bit by (a + b,
+    a - b).
 
-    Entry (r, c) of a state's parity sums is S[r XOR c].  Each S[k] adds its
-    terms in one order, whatever the batch and the weights' memory layout:
-    for d = 8 two chains, over even t and over odd t, each from its last
-    term back and starting from +0.0, then the two chains' sum; for d = 4,
-    t = 0, 1, 2, 3 in turn.  These are the orders the pinned outputs were
-    computed in (numpy's two-lane einsum kernel for d = 8), so they keep
-    their bits.
+    Each stage is elementwise along a row, so a row's sums are the same bits
+    whatever its batch and the weights' memory layout.  Each S[k] is a sum of
+    d terms +-w_t formed by log2(d) roundings along every path, so it is off
+    the exact transform by at most log2(d) * eps * sum_t |w_t|.
     """
-    terms = weights[..., None, :] * signs
-    if weights.shape[-1] == 8:
-        pairs = terms.reshape(terms.shape[:-1] + (4, 2))
-        chains = 0.0 + pairs[..., 3, :]
-        for j in (2, 1, 0):
-            chains += pairs[..., j, :]
-        return chains[..., 0] + chains[..., 1]
-    sums = terms[..., 0] + terms[..., 1]
-    sums += terms[..., 2]
-    sums += terms[..., 3]
+    sums = np.array(weights, dtype=float, order="C")
+    half = 1
+    while half < sums.shape[-1]:
+        pairs = sums.reshape(sums.shape[:-1] + (-1, 2, half))
+        low, high = pairs[..., 0, :], pairs[..., 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        half *= 2
     return sums
 
 

@@ -293,9 +293,9 @@ def simulate_relay(signs, q_mags, p_mags, params: ProtocolParams,
     s = _check_signs(signs)
     qm = _check_mags(q_mags)
     pm = _check_mags(p_mags)
-    outs = np.asarray(outcomes, dtype=float)
-    if outs.shape != (3,):
-        raise ValueError("outcomes must be three homodyne results")
+    outs = _floats(outcomes, "outcomes")
+    if outs.shape != (3,) or not np.all(np.isfinite(outs)):
+        raise ValueError(f"outcomes must be three finite homodyne results, got {outcomes!r}")
 
     state = make_coherent_product([(qm[i], s[i] * pm[i]) for i in range(3)])
     for i, ti in enumerate(params.tau):

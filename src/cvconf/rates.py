@@ -278,27 +278,25 @@ def _mc_block(args) -> tuple[float, float, float, float]:
 
 
 def _weighted_sums(columns, weigh) -> tuple[float, ...]:
-    """Sums of w*r and (w*r)**2 for each rate column r.  w = weigh(rows) is
-    formed on the rows where r is non-zero alone, before the zero array its
-    terms scatter into (a lower peak), so each sum adds the whole column."""
+    """Sums of w*r and (w*r)**2 for each rate column r, over the rows where r
+    is non-zero alone (the others add nothing): w = weigh(rows) is formed on
+    those rows only."""
     sums = []
     for rate in columns:
         rows = np.flatnonzero(rate)
-        weighted = weigh(rows) * rate[rows]
-        terms = np.zeros(len(rate))
-        terms[rows] = weighted
+        terms = weigh(rows) * rate[rows]
         sums += [float(terms.sum()), float((terms * terms).sum())]
     return tuple(sums)
 
 
-def _estimate_from_sums(total: float, total_sq: float, n: int, method: str) -> RateEstimate:
+def _estimate_from_sums(total: float, total_sq: float, n: int) -> RateEstimate:
     mean = float(total) / n
     if n > 1:
         variance = max((float(total_sq) - n * mean * mean) / (n - 1), 0.0)
         std_error = math.sqrt(variance / n)
     else:
         std_error = 0.0
-    return RateEstimate(mean, std_error, n, method)
+    return RateEstimate(mean, std_error, n, "mc")
 
 
 def _integer(value, name: str) -> int:
@@ -380,8 +378,8 @@ def _estimate_each(params_list, n_samples: int, seed: int,
             block_sums = list(run_blocks(_mc_block, tasks))
             # Fixed-order pairwise reduction over blocks.
             sums = np.sum(np.asarray(block_sums, dtype=float), axis=0)
-            estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples, "mc"),
-                              _estimate_from_sums(sums[2], sums[3], n_samples, "mc")))
+            estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples),
+                              _estimate_from_sums(sums[2], sums[3], n_samples)))
     return estimates
 
 

@@ -67,6 +67,12 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="frobnicate"):
             build_config(make_parser().parse_args(["--config", str(path)]))
 
+    def test_undecodable_config_file_is_named(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"seed = 3\n\xd0\x00\xff = 1\n")
+        with pytest.raises(ConfigError, match="config: cannot read"):
+            build_config(make_parser().parse_args(["--config", str(path)]))
+
     @pytest.mark.parametrize("key,text", [("samples", "lots"), ("sigma", "1,2"),
                                           ("mode", "foo"), ("workers", "1.5")])
     def test_malformed_value_is_named(self, tmp_path, key, text):
@@ -182,17 +188,17 @@ class TestPointMode:
     @pytest.mark.parametrize("argv,want", [
         (["--mags", "1,1,1", "--gamma", "0.5", "--distances", "3"],
          "distance_km = 3\ntau = 0.8709635899560807\nmi = 0.030494769947083\n"
-         "holevo = 0.33669390439215396\nrate = -0.30619913444507096\n"),
+         "holevo = 0.33669390439215408\nrate = -0.30619913444507108\n"),
         (["--mags", "1.5,0.75,0.25", "--gamma", "2.0"],
          "distance_km = 0\ntau = 1\nmi = 0.0087272014681170074\n"
          "holevo = 0\nrate = 0.0087272014681170074\n"),
         (["--mags", "1.5,0.7,1.2", "--gamma", "0.4", "--distances", "2"],
          "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.027011376947666976\n"
-         "holevo = 0.44810078306790857\nrate = -0.42108940612024159\n"),
+         "holevo = 0.44810078306790846\nrate = -0.42108940612024148\n"),
         (["--mags", "1.5,0.7,1.2", "--gamma", "0.4", "--distances", "2",
           "--convention", "amplitude"],
          "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.027011376947666976\n"
-         "holevo = 0.28500407394699534\nrate = -0.25799269699932836\n"),
+         "holevo = 0.28500407394699506\nrate = -0.25799269699932809\n"),
     ])
     def test_output_is_frozen(self, argv, want, capsys):
         code, out, _ = run_cli(["--mode", "point"] + argv, capsys)
@@ -256,23 +262,23 @@ class TestSweepMode:
 
     @pytest.mark.parametrize("convention,rows", [
         ("trace", [
-            "0,1,0.019510829313338179,0.019510829313338196,0.00020068774151702404,"
+            "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,trace",
-            "1,0.954992586021436,6.1149816295678249e-05,-0.078974713743202807,"
-            "5.5676521596494691e-06,0.0004257555646124224,65536,7,trace",
-            "2,0.91201083935590976,9.7050534170155047e-11,-0.13824869718346577,"
-            "4.1119804628289854e-11,0.00070274460980457537,65536,7,trace",
+            "1,0.954992586021436,6.1149816295678222e-05,-0.078974713743202779,"
+            "5.5676521596494666e-06,0.00042575556461242251,65536,7,trace",
+            "2,0.91201083935590976,9.7050534170200348e-11,-0.13824869718346575,"
+            "4.1119804628305881e-11,0.00070274460980457559,65536,7,trace",
             "3,0.8709635899560807,0,-0.18289650216789324,0,0.00090585660089442376,65536,7,trace",
         ]),
         ("amplitude", [
-            "0,1,0.019510829313338179,0.019510829313338196,0.00020068774151702404,"
+            "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,amplitude",
-            "1,0.954992586021436,0.0011847767065997074,-0.039399530858589334,"
-            "4.0830178895145131e-05,0.00024670507010369006,65536,7,amplitude",
-            "2,0.91201083935590976,4.3869355149526422e-05,-0.078846381594670473,"
-            "4.3368336777342901e-06,0.00042305689442916647,65536,7,amplitude",
-            "3,0.8709635899560807,1.2471742777098194e-07,-0.11050259728774202,"
-            "3.2495056545613936e-08,0.00057121774305150537,65536,7,amplitude",
+            "1,0.954992586021436,0.0011847767065997076,-0.039399530858589327,"
+            "4.0830178895145138e-05,0.00024670507010369,65536,7,amplitude",
+            "2,0.91201083935590976,4.3869355149526469e-05,-0.078846381594670473,"
+            "4.3368336777342969e-06,0.00042305689442916647,65536,7,amplitude",
+            "3,0.8709635899560807,1.2471742777098215e-07,-0.11050259728774202,"
+            "3.2495056545613691e-08,0.00057121774305150537,65536,7,amplitude",
         ]),
     ], ids=["trace", "amplitude"])
     def test_csv_output_is_frozen(self, convention, rows, capsys):

@@ -179,6 +179,13 @@ class TestHomodyneCondition:
         _, lik = homodyne_condition(state, 0, "q", 1.0)
         assert lik == math.inf
 
+    @pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_outcome(self, outcome):
+        """A NaN outcome once gave a NaN likelihood, an infinite one 0.0."""
+        state = make_coherent_product([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="outcome"):
+            homodyne_condition(state, 0, "q", outcome)
+
 
 class TestOverlapTrace:
     def test_identical_states(self):

@@ -1,6 +1,7 @@
 """Tests for the eavesdropper state construction and Holevo bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from cvconf.holevo import (
     _holevo_with_bound,
     _overlap_exponents,
     _own_tap_holevo_with_bound,
+    _parity_sums,
+    _RULES,
     assemble_total_state,
     eve_overlaps,
     gram_oracle_entropy,
@@ -143,6 +146,61 @@ class TestCoefficientModuli:
             assert c0 * c0 - c1 * c1 == pytest.approx(x, abs=1e-12)
 
 
+def exact_parity_sums(row):
+    """The Walsh-Hadamard transform of one row in exact rational arithmetic."""
+    d = len(row)
+    return [sum(Fraction(float(w)) * (-1) ** bin(k & t).count("1") for t, w in enumerate(row))
+            for k in range(d)]
+
+
+class TestParitySums:
+    """S[k] = sum_t (-1)**popcount(k & t) * w[t] by the butterfly, for both state sizes."""
+
+    @pytest.mark.parametrize("d", [8, 4])
+    def test_rounding_within_log2_d_ulps_of_the_weights(self, d):
+        """Off the exact transform by at most log2(d) * eps * sum |w|, the
+        rounding that ``_EIG_ABS_ERR`` and the 32 ulps of ``rel`` assume."""
+        rng = np.random.default_rng(61 + d)
+        spread = rng.normal(0.0, 1.0, (100, d)) * 10.0 ** rng.integers(-8, 8, (100, d))
+        weights = np.concatenate([rng.dirichlet(np.ones(d), 200), spread])
+        sums = _parity_sums(weights)
+        eps = Fraction(np.finfo(float).eps)
+        for row, got in zip(weights, sums):
+            scale = (d.bit_length() - 1) * eps * sum(abs(Fraction(float(w))) for w in row)
+            for want, value in zip(exact_parity_sums(row), got):
+                assert abs(Fraction(float(value)) - want) <= scale
+
+    @pytest.mark.parametrize("d", [8, 4])
+    def test_exact_on_dyadic_weights(self, d):
+        rng = np.random.default_rng(71 + d)
+        weights = rng.integers(-2 ** 20, 2 ** 20, (100, d)) / 2.0 ** 12
+        for row, got in zip(weights, _parity_sums(weights)):
+            assert [Fraction(float(value)) for value in got] == exact_parity_sums(row)
+
+    @pytest.mark.parametrize("d", [8, 4])
+    def test_same_bits_for_any_layout_and_batch(self, d):
+        """C-ordered, Fortran-ordered and strided weights give the same
+        bits, and so does a row alone against its row in a 4096-row tile."""
+        rng = np.random.default_rng(81 + d)
+        weights = rng.dirichlet(np.ones(d), 4096)
+        batch = _parity_sums(weights)
+        strided = np.zeros((4096, 3 * d))
+        strided[:, ::3] = weights
+        for layout in (np.asfortranarray(weights), strided[:, ::3], weights.reshape(2048, 2, d)):
+            assert _parity_sums(layout).tobytes() == batch.tobytes()
+        assert _parity_sums(weights[::-1])[::-1].tobytes() == batch.tobytes()
+        for i in (0, 1, 2047, 4095):
+            assert _parity_sums(weights[i]).tobytes() == batch[i].tobytes()
+            assert _parity_sums(weights[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+    def test_basis_rows_are_the_binary_digits_of_their_index(self):
+        """The butterfly's order: row r of each basis holds r's bits, most
+        significant first, so the parity sum of entry (r, c) is S[r XOR c]."""
+        for d, (bits, xor) in _RULES.items():
+            assert np.array_equal(bits @ 2.0 ** np.arange(bits.shape[1])[::-1], np.arange(d))
+            assert np.array_equal(bits[xor], np.abs(bits[:, None, :] - bits[None, :, :]))
+
+
 class TestAssembleTotalState:
     def test_uniform_orthogonal_is_maximally_mixed(self):
         table = PosteriorTable(np.full(8, 0.125))
@@ -266,6 +324,14 @@ class TestVonNeumannEntropy:
         rho[0, 1] = 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        """A NaN matrix once reached the eigensolver, which raised
+        LinAlgError; an infinite entry makes m - m.T NaN."""
+        for rho in (np.full((8, 8), value), np.diag([value] + [1.0 / 7.0] * 7)):
+            with pytest.raises(ValueError, match="finite"):
+                von_neumann_entropy(rho)
 
     def test_diagonalises_once(self, monkeypatch):
         calls = []

@@ -394,6 +394,14 @@ class TestSimulateRelay:
             for mode, (_, want_p) in enumerate(eve_conditional_means(signs, p_mags, p)):
                 assert abs(eve.mean[2 * mode + 1] - want_p) <= 1e-12
 
+    @pytest.mark.parametrize("outcomes", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf),
+                                          (0.0, -math.inf, 0.0)])
+    def test_rejects_non_finite_outcomes(self, outcomes):
+        """(nan, 0, 0) once gave NaN likelihoods and (0, 0, inf) a zero one."""
+        p = ProtocolParams(tau=(0.9, 0.9, 0.9))
+        with pytest.raises(ValueError, match="outcomes"):
+            simulate_relay((1, 1, 1), (1, 1, 1), (1, 1, 1), p, outcomes)
+
     def test_eve_state_independent_of_outcomes(self):
         p = ProtocolParams(tau=(0.6, 0.7, 0.8))
         signs = (1.0, -1.0, 1.0)

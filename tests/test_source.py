@@ -4,7 +4,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import cvconf
+import cvconf.holevo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvconf"
 
@@ -170,3 +173,16 @@ def test_one_row_evaluation():
     for name in ("_information_terms", "_screened", "_holevo_with_bound"):
         assert callers.get(name) == {"_rate_terms"}, name
     assert "_node_rates" in callers["_rate_terms"]
+
+
+def test_parity_sums_are_one_butterfly():
+    """``holevo._parity_sums`` takes the weights alone and branches on
+    nothing, so both state sizes go through one butterfly, and no rule in
+    ``holevo._RULES`` carries a sign table."""
+    tree = ast.parse((SRC / "holevo.py").read_text(encoding="utf-8"))
+    function = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_parity_sums")
+    assert [arg.arg for arg in function.args.args] == ["weights"]
+    assert not [node for node in ast.walk(function) if isinstance(node, (ast.If, ast.IfExp))]
+    for rule in cvconf.holevo._RULES.values():
+        assert not [part for part in rule if np.isin(part, (-1.0, 1.0)).all()]
