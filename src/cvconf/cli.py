@@ -7,7 +7,8 @@ Three modes:
     CSV or JSON with one record per distance.
 ``point``
     The single-point mutual information, Holevo bound and rate at a
-    user-supplied announcement (magnitudes and outcome).
+    user-supplied announcement (magnitudes and outcome), one five-line
+    block per distance of the grid, in grid order.
 ``validate``
     The built-in oracle suites, on the draws of acceptance criteria 5 and
     4: the phase-space pipeline against the outcome likelihood both rate
@@ -16,22 +17,23 @@ Three modes:
 
 Options may also be given in a flat ``key = value`` config file; explicit
 flags take precedence over the file, which takes precedence over the
-defaults.  One table parses every key from its text, flag or file alike,
-and :meth:`RunConfig.validate` is the only value check.  Identical
-configurations (including the seed) produce byte-identical output files
-regardless of the worker count.
+defaults.  Each key is declared once, as a :class:`RunConfig` field that
+carries its parser from text and its help line, for flags and config files
+alike, and :meth:`RunConfig.validate` is the only value check.  Every mode
+renders its text, and one writer sends it to stdout or to ``--out``.
+Identical configurations (including the seed) produce byte-identical output
+files regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,25 +56,41 @@ class ConfigError(ValueError):
     """A malformed configuration value; the message names the key."""
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma list; ``validate`` checks its length."""
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _key(default, parse, help_text: str):
+    """A config key: its default, its parser from text and its help line."""
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (defaults already applied)."""
+    """Fully resolved run configuration (defaults already applied).
 
-    mode: str = "sweep"
-    d_min: float = 0.0
-    d_max: float = 7.0
-    d_step: float = 1.0
-    distances: tuple[float, ...] | None = None
-    sigma: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    atten_db_km: float = 0.2
-    convention: str = "trace"
-    samples: int = 1_000_000
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    workers: int = 1
-    mags: tuple[float, float, float] | None = None
-    gamma: float = 0.0
+    Each field is one key of the flags and the config file."""
+
+    mode: str = _key("sweep", str, "sweep, point or validate")
+    d_min: float = _key(0.0, float, "first distance in km")
+    d_max: float = _key(7.0, float, "last distance in km")
+    d_step: float = _key(1.0, float, "grid step in km")
+    distances: tuple[float, ...] | None = _key(
+        None, _floats, "explicit comma-separated distances, overrides the grid")
+    sigma: tuple[float, float, float] = _key(
+        (1.0, 1.0, 1.0), _floats, "modulation standard deviations, comma triple")
+    atten_db_km: float = _key(0.2, float, "fibre attenuation in dB/km (default 0.2)")
+    convention: str = _key(
+        "trace", str, "overlap convention for the Holevo bound: trace or amplitude")
+    samples: int = _key(1_000_000, int, "Monte-Carlo samples per distance")
+    seed: int = _key(0, int, "random stream seed")
+    out: str | None = _key(None, str, "output path (default: stdout)")
+    format: str = _key("csv", str, "output format: csv or json")
+    workers: int = _key(1, int, "parallel worker processes")
+    mags: tuple[float, float, float] | None = _key(
+        None, _floats, "announced magnitudes for point mode, comma triple")
+    gamma: float = _key(0.0, float, "relay outcome for point mode")
 
     def validate(self) -> None:
         for key in ("samples", "seed", "workers"):
@@ -144,35 +162,15 @@ class RunConfig:
         return template.at_distance(distance_km)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    """A comma list; ``validate`` checks its length."""
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-# The one place a key is parsed or described: its parser from text and its
-# help line, for flags and config files alike.
-_KEYS = {
-    "mode": (str, "sweep, point or validate"),
-    "d_min": (float, "first distance in km"),
-    "d_max": (float, "last distance in km"),
-    "d_step": (float, "grid step in km"),
-    "distances": (_floats, "explicit comma-separated distances, overrides the grid"),
-    "sigma": (_floats, "modulation standard deviations, comma triple"),
-    "atten_db_km": (float, "fibre attenuation in dB/km (default 0.2)"),
-    "convention": (str, "overlap convention for the Holevo bound: trace or amplitude"),
-    "samples": (int, "Monte-Carlo samples per distance"),
-    "seed": (int, "random stream seed"),
-    "out": (str, "output path (default: stdout)"),
-    "format": (str, "output format: csv or json"),
-    "workers": (int, "parallel worker processes"),
-    "mags": (_floats, "announced magnitudes for point mode, comma triple"),
-    "gamma": (float, "relay outcome for point mode"),
-}
+def _keys() -> dict:
+    """Each key's parser from text, by name, in declaration order."""
+    return {key.name: key.metadata["parse"] for key in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
     """Parse a flat 'key = value' file; '#' at a line's start or after
     whitespace starts a comment, so values may contain '#'."""
+    keys = _keys()
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -187,7 +185,7 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"config: line {lineno} is not 'key = value': {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigError(f"{key}: unknown config key")
         values[key] = value.strip()
     return values
@@ -195,13 +193,14 @@ def load_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge flag text over config-file text, parse it, and fill in defaults."""
+    keys = _keys()
     texts = load_config_file(args.config) if args.config is not None else {}
     texts.update((key, text) for key, text in vars(args).items()
-                 if key in _KEYS and text is not None)
+                 if key in keys and text is not None)
     values = {}
     for key, text in texts.items():
         try:
-            values[key] = _KEYS[key][0](text)
+            values[key] = keys[key](text)
         except ValueError:
             raise ConfigError(f"{key}: could not parse {text!r}") from None
     config = RunConfig(**values)
@@ -262,40 +261,29 @@ def _render_json(records: list[dict], config: RunConfig) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(text: str, config: RunConfig, stdout: io.TextIOBase) -> int:
-    if config.out is None:
-        stdout.write(text)
-        return 0
-    try:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_sweep(config: RunConfig, stdout: io.TextIOBase) -> int:
+def _run_sweep(config: RunConfig) -> tuple[str, int]:
     records = _sweep_records(config)
-    if config.format == "csv":
-        text = _render_csv(records)
-    else:
-        text = _render_json(records, config)
-    return _write_output(text, config, stdout)
+    text = _render_csv(records) if config.format == "csv" else _render_json(records, config)
+    return text, 0
 
 
-def _run_point(config: RunConfig, stdout: io.TextIOBase) -> int:
+def _run_point(config: RunConfig) -> tuple[str, int]:
     if config.mags is None:
         raise ConfigError("mags: required in point mode (three comma-separated values)")
-    distance = config.distance_grid()[0]
-    params = config.params_at(distance)
-    mi, chi = _single_point_terms(config.mags, config.gamma, params)
-    stdout.write(f"distance_km = {_fmt(distance)}\n")
-    stdout.write(f"tau = {_fmt(params.tau[0])}\n")
-    stdout.write(f"mi = {_fmt(mi)}\n")
-    stdout.write(f"holevo = {_fmt(chi)}\n")
-    stdout.write(f"rate = {_fmt(mi - chi)}\n")
-    return 0
+    blocks = []
+    for distance in config.distance_grid():
+        params = config.params_at(distance)
+        mi, chi = _single_point_terms(config.mags, config.gamma, params)
+        blocks.append(f"distance_km = {_fmt(distance)}\ntau = {_fmt(params.tau[0])}\n"
+                      f"mi = {_fmt(mi)}\nholevo = {_fmt(chi)}\nrate = {_fmt(mi - chi)}\n")
+    return "".join(blocks), 0
+
+
+def _draw_params(rng: np.random.Generator, convention: str) -> ProtocolParams:
+    """A random configuration of the oracle suites: tau in (0, 1] and sigma
+    in [0.2, 3] per party."""
+    return ProtocolParams(tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
+                          sigma=tuple(rng.uniform(0.2, 3.0, 3)), overlap_convention=convention)
 
 
 def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, float]:
@@ -310,10 +298,7 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
     symplectic eigenvalue.  The outcome is drawn by ``_draw_outcomes``, the
     draw side of that model.  Acceptance criterion 5 draws from here.
     """
-    params = ProtocolParams(
-        tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
-        sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-    )
+    params = _draw_params(rng, "trace")
     signs = rng.choice([-1.0, 1.0], 3)
     p_mags = np.abs(rng.normal(0.0, params.sigma))
     q_mags = np.abs(rng.normal(0.0, params.sigma))
@@ -348,11 +333,7 @@ def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, f
     outcome is drawn by ``_draw_outcomes``.  Acceptance criterion 4 draws
     from here.
     """
-    params = ProtocolParams(
-        tau=tuple(rng.uniform(0.0, 1.0, 3) + 1e-12),
-        sigma=tuple(rng.uniform(0.2, 3.0, 3)),
-        overlap_convention=convention,
-    )
+    params = _draw_params(rng, convention)
     mags = np.abs(rng.normal(0.0, params.sigma))
     signs = rng.choice([-1.0, 1.0], 3)
     gamma = float(_draw_outcomes(rng, signs, mags, params))
@@ -373,17 +354,17 @@ def _validate_spectrum(rng: np.random.Generator, n_draws: int) -> tuple[int, int
     return passed, n_draws
 
 
-def _run_validate(config: RunConfig, stdout: io.TextIOBase) -> int:
+def _run_validate(config: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(config.seed)
-    failures = 0
+    lines, failures = [], 0
     for name, suite in (("pipeline oracle", _validate_pipeline),
                         ("spectrum oracle", _validate_spectrum)):
         passed, total = suite(rng, 1000)
-        stdout.write(f"{name}: {passed}/{total} passed\n")
+        lines.append(f"{name}: {passed}/{total} passed\n")
         failures += total - passed
-    stdout.write("validation OK\n" if failures == 0 else
+    lines.append("validation OK\n" if failures == 0 else
                  f"validation FAILED ({failures} checks)\n")
-    return 0 if failures == 0 else 1
+    return "".join(lines), 0 if failures == 0 else 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -393,20 +374,27 @@ def make_parser() -> argparse.ArgumentParser:
         epilog="A malformed value exits with status 2 and names its key.",
     )
     parser.add_argument("--config", help="flat key=value config file; flags take precedence")
-    for key, (_, help_text) in _KEYS.items():
-        parser.add_argument("--" + key.replace("_", "-"), help=help_text)
+    for key in fields(RunConfig):
+        parser.add_argument("--" + key.name.replace("_", "-"), help=key.metadata["help"])
     return parser
 
 
-def run(config: RunConfig, stdout: io.TextIOBase | None = None) -> int:
-    """Execute one fully resolved configuration; returns the exit status."""
-    stdout = stdout if stdout is not None else sys.stdout
+def run(config: RunConfig) -> int:
+    """Execute one fully resolved configuration and write its output to
+    stdout or to ``config.out``; returns the exit status."""
     config.validate()
-    if config.mode == "sweep":
-        return _run_sweep(config, stdout)
-    if config.mode == "point":
-        return _run_point(config, stdout)
-    return _run_validate(config, stdout)
+    mode = {"sweep": _run_sweep, "point": _run_point, "validate": _run_validate}
+    text, status = mode[config.mode](config)
+    if config.out is None:
+        sys.stdout.write(text)
+        return status
+    try:
+        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+        return 1
+    return status
 
 
 def main(argv=None) -> int:

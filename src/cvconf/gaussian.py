@@ -166,8 +166,8 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str,
     quadrature : {"q", "p"}
         Which quadrature is detected.
     outcome : float
-        Measured value in shot-noise units; a NaN or infinite one raises
-        ValueError naming it.
+        Measured value in shot-noise units; one that is not a real number,
+        or is NaN or infinite, raises ValueError naming it.
 
     Returns
     -------
@@ -180,6 +180,10 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str,
         raise ValueError(f"mode index out of range for {n}-mode state")
     if quadrature not in ("q", "p"):
         raise ValueError("quadrature must be 'q' or 'p'")
+    try:
+        outcome = float(outcome)
+    except (TypeError, ValueError):
+        raise ValueError(f"outcome must be a real number, got {outcome!r}") from None
     if not math.isfinite(outcome):
         raise ValueError(f"outcome must be finite, got {outcome!r}")
     m_idx = 2 * mode + (0 if quadrature == "q" else 1)

@@ -88,11 +88,12 @@ _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 # the batch; each row's result does not depend on it.
 _TILE = 1 << 12
 
-# Gauss-Legendre points per quadrature panel, and grid points per chunk
-# of the quadrature (bounds the chunk's points, rates and summed terms;
-# _TILE bounds the core).
+# Gauss-Legendre points per quadrature panel, grid points per chunk of the
+# quadrature (bounds the chunk's points, rates and summed terms; _TILE
+# bounds the core), and the most grid points one quadrature evaluates.
 _PANEL_DEGREE = 8
 _QUAD_CHUNK = 1 << 17
+_MAX_QUAD_POINTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -383,9 +384,14 @@ def _estimate_each(params_list, n_samples: int, seed: int,
     return estimates
 
 
+def _rule_size(n_nodes: int) -> int:
+    """Points of the composite rule asked for n_nodes: whole panels, at least one."""
+    return _PANEL_DEGREE * max(1, -(-n_nodes // _PANEL_DEGREE))
+
+
 def _composite_gauss_legendre(hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, hi] with at least n_nodes points."""
-    n_panels = max(1, -(-n_nodes // _PANEL_DEGREE))
+    """Composite Gauss-Legendre rule on [0, hi] with ``_rule_size(n_nodes)`` points."""
+    n_panels = _rule_size(n_nodes) // _PANEL_DEGREE
     base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_DEGREE)
     edges = np.linspace(0.0, hi, n_panels + 1)
     half = np.diff(edges) / 2.0
@@ -422,6 +428,14 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     alone (0.3% of that grid); the values are bit for bit those of
     ``certified_rates`` on every node.
 
+    The grid is counted before it is built: one of more than
+    ``_MAX_QUAD_POINTS`` (2**26) evaluated points raises ValueError naming
+    ``sigma`` and ``nodes_per_axis``.  The outcome axis keeps the node
+    density of the widest magnitude axis over a range of at least 16, so a
+    small sigma asks for many points: at tau = 0.9 and 8 nodes, sigma =
+    (1e-4,)*3 gives 4.1e7 and is admitted, and 1e-8 would give 4.1e11.
+    The 32-node rule gives 2.9e6 at sigma = 1 and 7.1e6 at 0.2.
+
     It under-resolves an asymmetric sigma: the outcome axis's node density
     follows the largest sigma, and the wide axis gets no more nodes than the
     narrow ones.  At 0 km, sigma = (30, 1, 1), 8, 16 and 24 nodes give
@@ -433,14 +447,19 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     m_max = float(mean_coefficients(params) @ (8.0 * sigma))
     g_hi = m_max + 8.0
 
-    mag_axes = [_composite_gauss_legendre(8.0 * s, nodes_per_axis) for s in sigma]
+    # The grid is counted before any axis is built.  An outcome request past
+    # the cap is clipped to it: the grid is then refused whatever its size.
     density = nodes_per_axis / (8.0 * sigma.max())
-    g_half_req = max(nodes_per_axis // 2, int(math.ceil(g_hi * density)), 8)
-    g_nodes, g_half_weights = _composite_gauss_legendre(g_hi, g_half_req)
-
-    axes = mag_axes + [(g_nodes, 2.0 * g_half_weights)]
-    shape = tuple(len(nodes) for nodes, _ in axes)
+    g_half_req = max(nodes_per_axis // 2, math.ceil(min(g_hi * density, _MAX_QUAD_POINTS)), 8)
+    shape = tuple(_rule_size(n) for n in (nodes_per_axis,) * 3 + (g_half_req,))
     n_points = math.prod(shape)
+    if n_points > _MAX_QUAD_POINTS:
+        raise ValueError(f"sigma {params.sigma} and nodes_per_axis {nodes_per_axis} ask for "
+                         f"{n_points:.3g} grid points, above the cap of {_MAX_QUAD_POINTS}")
+
+    mag_axes = [_composite_gauss_legendre(8.0 * s, nodes_per_axis) for s in sigma]
+    g_nodes, g_half_weights = _composite_gauss_legendre(g_hi, g_half_req)
+    axes = mag_axes + [(g_nodes, 2.0 * g_half_weights)]
 
     # Row-major (mag_A, mag_B, mag_C, outcome) grid, built one chunk at a time.
     total = 0.0

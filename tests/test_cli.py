@@ -13,10 +13,11 @@ import cvconf.cli
 import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
-from cvconf.cli import _KEYS, CSV_HEADER, ConfigError, RunConfig, _pipeline_check, \
+from cvconf.cli import CSV_HEADER, ConfigError, RunConfig, _pipeline_check, \
     _validate_pipeline, _validate_spectrum, build_config, main, make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+KEYS = [key.name for key in fields(RunConfig)]
 
 
 def run_cli(argv, capsys):
@@ -81,11 +82,16 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=key):
             build_config(make_parser().parse_args(["--config", str(path)]))
 
-    def test_one_table_declares_every_key(self):
-        assert _KEYS.keys() == {f.name for f in fields(RunConfig)}
+    def test_one_table_declares_every_key(self, tmp_path):
+        """The fields of ``RunConfig`` are the flags and the config keys."""
+        flags = set(vars(make_parser().parse_args([]))) - {"config"}
+        assert flags == set(KEYS)
+        path = tmp_path / "run.conf"
+        path.write_text("".join(f"{key} = x\n" for key in KEYS))
+        assert cvconf.cli.load_config_file(str(path)) == dict.fromkeys(KEYS, "x")
 
     def test_every_flag_takes_raw_text(self):
-        for key in _KEYS:
+        for key in KEYS:
             args = make_parser().parse_args(["--" + key.replace("_", "-"), "x"])
             assert getattr(args, key) == "x"
 
@@ -191,7 +197,21 @@ class TestPointMode:
          "holevo = 0.33669390439215408\nrate = -0.30619913444507108\n"),
         (["--mags", "1.5,0.75,0.25", "--gamma", "2.0"],
          "distance_km = 0\ntau = 1\nmi = 0.0087272014681170074\n"
-         "holevo = 0\nrate = 0.0087272014681170074\n"),
+         "holevo = 0\nrate = 0.0087272014681170074\n"
+         "distance_km = 1\ntau = 0.954992586021436\nmi = 0.0085872182786084217\n"
+         "holevo = 0.078370682962289537\nrate = -0.069783464683681115\n"
+         "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.0084373124534913302\n"
+         "holevo = 0.13024016969240071\nrate = -0.12180285723890938\n"
+         "distance_km = 3\ntau = 0.8709635899560807\nmi = 0.0082778381737678153\n"
+         "holevo = 0.17110048754055024\nrate = -0.16282264936678242\n"
+         "distance_km = 4\ntau = 0.83176377110267097\nmi = 0.0081092371496465088\n"
+         "holevo = 0.20503717175813929\nrate = -0.19692793460849278\n"
+         "distance_km = 5\ntau = 0.79432823472428149\nmi = 0.0079320305343535402\n"
+         "holevo = 0.23418829195960039\nrate = -0.22625626142524685\n"
+         "distance_km = 6\ntau = 0.75857757502918377\nmi = 0.0077468102164042207\n"
+         "holevo = 0.25987221621945211\nrate = -0.25212540600304789\n"
+         "distance_km = 7\ntau = 0.72443596007499\nmi = 0.0075542296280433074\n"
+         "holevo = 0.2829695327501941\nrate = -0.27541530312215079\n"),
         (["--mags", "1.5,0.7,1.2", "--gamma", "0.4", "--distances", "2"],
          "distance_km = 2\ntau = 0.91201083935590976\nmi = 0.027011376947666976\n"
          "holevo = 0.44810078306790846\nrate = -0.42108940612024148\n"),
@@ -224,6 +244,31 @@ class TestPointMode:
         code, _, err = run_cli(["--mode", "point"], capsys)
         assert code == 2
         assert "mags" in err
+
+    def test_one_block_per_distance(self, capsys):
+        """Every distance of the grid, in grid order; the first alone was
+        once printed and the rest dropped."""
+        argv = ["--mode", "point", "--mags", "1.5,0.7,1.2", "--gamma", "0.4"]
+        code, out, _ = run_cli(argv + ["--distances", "0,2,3"], capsys)
+        assert code == 0
+        singles = [run_cli(argv + ["--distances", d], capsys) for d in ("0", "2", "3")]
+        assert [code for code, _, _ in singles] == [0, 0, 0]
+        assert out.count("distance_km = ") == 3
+        assert out == "".join(single for _, single, _ in singles)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "point", "--mags", "1,1,1", "--gamma", "0.5", "--distances", "3,1"],
+    ["--mode", "validate", "--seed", "4"],
+], ids=["point", "validate"])
+def test_every_mode_writes_out(argv, tmp_path, capsys):
+    """``--out`` gets exactly the bytes stdout would, and stdout nothing; point
+    and validate mode once ignored it."""
+    path = tmp_path / "out.txt"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+    assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 class TestSweepMode:

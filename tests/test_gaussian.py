@@ -179,9 +179,10 @@ class TestHomodyneCondition:
         _, lik = homodyne_condition(state, 0, "q", 1.0)
         assert lik == math.inf
 
-    @pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf, "a", None])
     def test_rejects_non_finite_outcome(self, outcome):
-        """A NaN outcome once gave a NaN likelihood, an infinite one 0.0."""
+        """A NaN outcome once gave a NaN likelihood, an infinite one 0.0, and
+        one that is not a number a TypeError naming nothing."""
         state = make_coherent_product([(0.0, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError, match="outcome"):
             homodyne_condition(state, 0, "q", outcome)

@@ -736,6 +736,26 @@ class TestQuadratureCrossCheck:
             with pytest.raises(ValueError, match="nodes_per_axis"):
                 quadrature_cross_check(p, nodes_per_axis=bad)
 
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-30])
+    def test_rejects_a_grid_past_the_cap(self, sigma):
+        """A small sigma's outcome axis once asked numpy for ~6 GiB (1e-8)
+        or for an array past its size limit (1e-30), named nothing, before
+        the grid was counted."""
+        p = ProtocolParams(tau=(0.9, 0.9, 0.9), sigma=(sigma,) * 3)
+        with pytest.raises(ValueError, match="sigma.*nodes_per_axis.*cap"):
+            quadrature_cross_check(p, nodes_per_axis=8)
+
+    def test_cap_counts_the_evaluated_points(self, monkeypatch):
+        """The cap is on the points the rule evaluates: a grid of exactly the
+        cap runs, and one point fewer refuses it."""
+        p = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        want = quadrature_cross_check(p, nodes_per_axis=8)
+        monkeypatch.setattr(cvconf.rates, "_MAX_QUAD_POINTS", want.n_samples // 2)
+        assert quadrature_cross_check(p, nodes_per_axis=8) == want
+        monkeypatch.setattr(cvconf.rates, "_MAX_QUAD_POINTS", want.n_samples // 2 - 1)
+        with pytest.raises(ValueError, match="nodes_per_axis"):
+            quadrature_cross_check(p, nodes_per_axis=8)
+
 
 class TestSweepDistance:
     def test_tau_mapping_and_determinism(self):

@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import cvconf
+import cvconf.cli
 import cvconf.holevo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvconf"
@@ -186,3 +188,19 @@ def test_parity_sums_are_one_butterfly():
     assert not [node for node in ast.walk(function) if isinstance(node, (ast.If, ast.IfExp))]
     for rule in cvconf.holevo._RULES.values():
         assert not [part for part in rule if np.isin(part, (-1.0, 1.0)).all()]
+
+
+def test_each_cli_key_is_declared_once():
+    """Each ``RunConfig`` field carries its parser from text and its help
+    line, and ``cli.py`` keeps no second table of the keys: no module-level
+    dict literal is keyed by a field name."""
+    names = set()
+    for key in fields(cvconf.cli.RunConfig):
+        assert callable(key.metadata.get("parse")), key.name
+        assert isinstance(key.metadata.get("help"), str) and key.metadata["help"].strip(), key.name
+        names.add(key.name)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    tables = [node.lineno for top in tree.body if isinstance(top, (ast.Assign, ast.AnnAssign))
+              for node in ast.walk(top) if isinstance(node, ast.Dict)
+              and {getattr(k, "value", None) for k in node.keys} & names]
+    assert tables == []
