@@ -49,7 +49,9 @@ A lower bound needs no eigensolver: the information about A's sign in
 A's own tap, chi(A; E_A), is the entropy of a mixture of two pure states
 with a closed-form spectrum, and discarding E_B and E_C cannot raise it
 (:func:`_own_tap_holevo_with_bound`).  The rate engine uses it to skip the
-spectra of announcements it proves unkeepable.
+spectra of announcements it proves unkeepable, and as the cheap level of
+the Monte-Carlo raw rate on them.  Where A's own overlap is exactly 1 it
+is exactly 0, as chi(A) is where every overlap is.
 """
 
 from __future__ import annotations
@@ -364,6 +366,11 @@ def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     expression).  That is rel_err + 9 ulps; the products of these factors
     add under 7.5 ulps per unit of rel_err, hence rel_err + 16 ulps *
     (1 + rel_err) below.  The eigenvalues carry no absolute error.
+
+    A row whose own deficit is exactly 0 gets (0, 0), as in
+    :func:`_holevo_with_bound`: A's two states coincide, so E_A holds
+    nothing about A's sign, where the formula would leave the entropy of a
+    larger eigenvalue one rounding off 1.
     """
     p, q = tables[:, _A_ROWS].sum(axis=-1).T
     delta = deficits[:, 0]
@@ -372,7 +379,9 @@ def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     smaller = p * q * (delta * (2.0 - delta)) / larger
     rel = np.asarray(rel_err, dtype=float)
     rel = rel + 16.0 * _EPS * (1.0 + rel)
-    return _entropy_with_bound(np.stack([smaller, larger], axis=-1), rel[..., None], 0.0)
+    chi, bound = _entropy_with_bound(np.stack([smaller, larger], axis=-1), rel[..., None], 0.0)
+    lossless = delta == 0.0
+    return np.where(lossless, 0.0, chi), np.where(lossless, 0.0, bound)
 
 
 def _holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,

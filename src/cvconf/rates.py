@@ -30,9 +30,15 @@ so results are bit-identical for any degree of parallelism.
 
 A deterministic tensor-product quadrature over the truncated announcement
 domain, using the explicit joint density as weight, cross-validates the
-estimator.  It needs only the post-selected part, so the node loop skips
-the spectra of rows that a closed-form lower bound on chi(A) proves the
-certified rule cannot keep, bit-identically.
+estimator.
+
+The node loop of both skips the spectra of rows that a closed-form lower
+bound chi(A; E_A) on chi(A) proves the certified rule cannot keep, so the
+post-selected part is bit for bit the full rule's.  The quadrature needs
+only that part.  The Monte-Carlo raw rate takes chi(A; E_A) in place of
+chi(A) on those rows, and corrects it from the spectra of one screened row
+in ``_SUBSAMPLE`` (the two-level case of multilevel Monte Carlo), so it
+stays unbiased while the spectra run on a few percent of the draws.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +95,14 @@ _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 # the batch; each row's result does not depend on it.
 _TILE = 1 << 12
 
+# One screened row in this many gets spectra in the Monte-Carlo block, for
+# the raw column's correction (:func:`_node_rates`).  Divides _TILE.  Chosen
+# by the raw column's standard error times sqrt(CPU-s) at trace 1-3 km,
+# 2**17 samples: 16 is 2.2-2.5x better than spectra on every row, 7-15%
+# better than 8, and within 1-6% of 32, which grows the raw column's
+# variance per sample 1.2-1.6x where 16 grows it 1.1-1.3x.
+_SUBSAMPLE = 16
+
 # Gauss-Legendre points per quadrature panel, grid points per chunk of the
 # quadrature (bounds the chunk's points, rates and summed terms; _TILE
 # bounds the core), and the most grid points one quadrature evaluates.
@@ -130,24 +145,45 @@ def single_point_rate(mags, gamma: float, params: ProtocolParams) -> float:
 def _single_point_terms(mags, gamma: float, params: ProtocolParams) -> tuple[float, float]:
     """I(A:B) and chi(A) of one announcement from one posterior table, chi checked
     and projected onto [0, 1] as by ``single_point_holevo``."""
-    _, mi, chi, _ = _rate_terms(*_one_announcement(mags, gamma), params)
-    return float(mi[0]), _holevo_in_range(float(chi[0]))
+    terms = _rate_terms(*_one_announcement(mags, gamma), params)
+    return float(terms.mi[0]), _holevo_in_range(float(terms.chi[0]))
 
 
-def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams, screen: bool = False
-                ) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The one per-row evaluation: ``(live, mi, chi, err)``, where I(A:B),
-    chi(A) and the bound ``err`` on |computed - exact| of I - chi are those
-    of the rows ``live`` selects.  ``live`` is every row, ``slice(None)``,
-    unless ``screen``, when it drops the rows :func:`_screened` proves the
-    certified keep rule cannot keep.  Each row's values are its own, whatever
-    the batch.
+class _RowTerms(NamedTuple):
+    """The terms :func:`_rate_terms` gives a batch of rows."""
+
+    screened: np.ndarray | None  # rows the certified keep rule provably cannot keep
+    mi: np.ndarray               # I(A:B) of every row
+    chi_low: np.ndarray | None   # chi(A; E_A) of every row
+    live: np.ndarray | slice     # the rows that get spectra
+    chi: np.ndarray              # chi(A) of the live rows
+    err: np.ndarray              # bound on |computed - exact| of I - chi, live rows
+
+
+def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
+                spectra: slice | None = None) -> _RowTerms:
+    """The one per-row evaluation.
+
+    Every row gets I(A:B).  chi(A) and the bound ``err`` on |computed -
+    exact| of I - chi are those of the rows ``live``.  With ``spectra``
+    None, every row is live and the screen does not run (``screened`` and
+    ``chi_low`` are None).  Otherwise every row gets chi(A; E_A) and the
+    screen's verdict (:func:`_screened`), and the live rows are those the
+    screen leaves and those the slice ``spectra`` selects whatever the
+    screen.  Each row's values are its own, whatever the batch.
     """
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
     deficits = overlap_deficits_batch(mags, params)
-    live = ~_screened(tables, deficits, rel_err, mi, mi_err) if screen else slice(None)
+    if spectra is None:
+        screened, chi_low, live = None, None, slice(None)
+    else:
+        chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
+        screened = _screened(mi, mi_err, chi_low, chi_low_err)
+        live = ~screened
+        live[spectra] = True
     chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
-    return live, mi[live], chi, _rate_bound(mi[live], mi_err[live], chi, chi_err)
+    return _RowTerms(screened, mi, chi_low, live, chi,
+                     _rate_bound(mi[live], mi_err[live], chi, chi_err))
 
 
 def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams
@@ -180,37 +216,61 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
     Returns ``(rate, rate_ps)`` for (n, 3) magnitudes and (n,) outcomes.
     ``rate_ps`` equals ``rate`` where the computed rate exceeds its error
     bound, so the exact rate is positive, and 0 elsewhere: announcements
-    whose sign floating point cannot settle are dropped.  The raw view of
-    the node loop :func:`_node_rates`.
+    whose sign floating point cannot settle are dropped.  The full-chi view
+    of :func:`_rate_terms`: the node loop :func:`_node_rates` with every row
+    given spectra, so ``rate`` is I - chi on every row, bit for bit.  Both
+    estimators spend chi on fewer rows; this is their oracle.
     """
-    return _node_rates(mags, gamma, params, raw=True)
+    return _node_rates(mags, gamma, params, stride=1)
 
 
 def _node_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
-                raw: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """``(rate, rate_ps)`` of :func:`certified_rates`, with ``rate`` None
-    unless ``raw``, in tiles of ``_TILE`` so the core's memory does not grow
-    with n.  Each tile is one call of :func:`_rate_terms`, whose values are
-    those of each row alone.  The raw rate needs chi(A) on every row; without
-    it, the tile is screened, chi runs only on the rows :func:`_screened`
-    leaves (about 3% of the quadrature's nodes at 2 km), and a screened row
-    gets the 0.0 the full rule gives it.
+                stride: int | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The raw and post-selected columns ``(rate, rate_ps)`` of n rows, in
+    tiles of ``_TILE`` so the core's memory does not grow with n.
+
+    Each tile is one call of :func:`_rate_terms`, whose values are those of
+    each row alone, and is screened: chi(A) runs on the rows
+    :func:`_screened` leaves (1.9% of mixture draws at 2 km).  ``rate_ps``
+    is the certified rule's on every row: a screened row gets 0, as the
+    full rule would give it.  With ``stride`` None there is no raw column
+    (``rate`` is None) and no other row gets spectra.  At stride k the
+    screened rows whose index is 0 mod k get spectra too (``_TILE`` is a
+    multiple of every stride used, so a tile's index agrees with the
+    batch's mod k), and the raw term of a row is
+
+    - unscreened: mi - chi, as in :func:`certified_rates`;
+    - screened with spectra: (mi - chi) + (k - 1) (chi_low - chi), that is
+      (mi - chi_low) + k (chi_low - chi), and mi - chi at k = 1;
+    - screened without: mi - chi_low.
+
+    The raw column is unbiased for the mean of mi - chi over iid rows: the
+    screen is a fixed function of each row and the subsample depends on
+    the index alone, so the correction k (chi_low - chi) on 1/k of the
+    screened rows has the mean of chi_low - chi over all of them.  This is
+    the two-level case of multilevel Monte Carlo (Giles, Acta Numerica 24,
+    2015), with chi_low as the cheap level.
     """
     n = len(gamma)
-    rate = np.empty(n) if raw else None
+    spectra = slice(0) if stride is None else slice(None, None, stride)
+    rate = None if stride is None else np.empty(n)
     rate_ps = np.zeros(n)
     for start in range(0, n, _TILE):
         tile = slice(start, start + _TILE)
-        live, mi, chi, err = _rate_terms(mags[tile], gamma[tile], params, screen=not raw)
-        rate_live = mi - chi
-        if raw:
-            rate[tile] = rate_live
+        terms = _rate_terms(mags[tile], gamma[tile], params, spectra)
+        live = terms.live
+        rate_live = terms.mi[live] - terms.chi
         # Kept where it exceeds its bound, so the exact rate is positive.
-        rate_ps[tile][live] = np.where(rate_live > err, rate_live, 0.0)
+        rate_ps[tile][live] = np.where(rate_live > terms.err, rate_live, 0.0)
+        if rate is not None:
+            sampled = terms.screened[live]
+            rate_live[sampled] += (stride - 1) * (terms.chi_low[live][sampled] - terms.chi[sampled])
+            rate[tile] = terms.mi - terms.chi_low
+            rate[tile][live] = rate_live
     return rate, rate_ps
 
 
-def _screened(tables: np.ndarray, deficits: np.ndarray, rel_err, mi, mi_err) -> np.ndarray:
+def _screened(mi, mi_err, chi_low, chi_low_err) -> np.ndarray:
     """Rows the certified keep rule provably cannot keep, found without spectra.
 
     A row is screened when ``mi - chi_low + chi_low_err <= mi_err / 2``,
@@ -257,7 +317,6 @@ def _screened(tables: np.ndarray, deficits: np.ndarray, rel_err, mi, mi_err) -> 
     leave the rows whose rate lies within its own bound (the grid's tail,
     where I and chi are both tiny) to spectra that then drop them.
     """
-    chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
     return mi - chi_low + chi_low_err <= mi_err / 2.0
 
 
@@ -275,7 +334,7 @@ def _mc_block(args) -> tuple[float, float, float, float]:
     log_ratio = _LOG_WIDE_RATIO_SLOPE * (z * z).sum(axis=1) + _LOG_WIDE_RATIO_OFFSET
     weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
 
-    return _weighted_sums(certified_rates(mags, gamma, params), weight.__getitem__)
+    return _weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE), weight.__getitem__)
 
 
 def _weighted_sums(columns, weigh) -> tuple[float, ...]:
@@ -347,12 +406,22 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     -------
     (RateEstimate, RateEstimate)
         The raw rate and the post-selected rate, from the same samples.
-        The post-selected estimate is never negative.  It can fall below
-        the raw one: announcements whose computed rate is positive but
-        within its error bound are dropped, which lowers it by at most
-        their summed weighted bounds over n_samples (3e-18 to 3e-17 at unit
-        transmissivity, 2**17 samples, where chi is exactly 0 and only the
-        information's rounding bound is left).
+        The post-selected estimate is never negative, and is the certified
+        rule's on every sample; chi(A) runs only on the samples the screen
+        cannot settle (0.85-4.7% of them at 1-3 km).  The raw estimate is
+        unbiased for the mean of I - chi: chi(A; E_A) stands in for chi(A)
+        on the screened samples, and ``_SUBSAMPLE`` times their difference
+        is added on the screened samples whose index in their block is 0
+        mod ``_SUBSAMPLE`` (:func:`_node_rates`).  On one block each at
+        trace 1 and 2 km and amplitude 3 km, it lies within 0.1 SE of the
+        full-chi mean of the same samples.  Its standard error is pooled
+        over every sample as if they were iid, which makes it conservative:
+        the samples are iid only in groups of ``_SUBSAMPLE``, and the pooled
+        variance adds the spread between the two classes' means to the true
+        one.  At unit transmissivity chi and chi(A; E_A) are exactly 0, so
+        the raw estimate is the mean of I itself; the post-selected one
+        falls below it only by the dropped samples whose I lies within its
+        own error bound (3e-18 to 3e-17 at 2**17 samples, seeds 0-7).
     """
     return _estimate_each([params], *_check_mc_arguments(n_samples, seed, n_workers))[0]
 
@@ -423,18 +492,20 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     full symmetric rule.
 
     The nodes go through the node loop :func:`_node_rates` without its raw
-    column, so chi(A; E_A) spares the spectra of 97% of the 16-node grid at
-    2 km, and node weights and joint density are formed on the kept nodes
-    alone (0.3% of that grid); the values are bit for bit those of
-    ``certified_rates`` on every node.
+    column, so no screened node gets spectra: chi(A; E_A) spares those of 97% of the
+    16-node grid at 2 km.  Node weights and joint density are formed on
+    the kept nodes alone (0.3% of that grid); the values are bit for bit
+    those of ``certified_rates`` on every node.
 
-    The grid is counted before it is built: one of more than
-    ``_MAX_QUAD_POINTS`` (2**26) evaluated points raises ValueError naming
-    ``sigma`` and ``nodes_per_axis``.  The outcome axis keeps the node
-    density of the widest magnitude axis over a range of at least 16, so a
-    small sigma asks for many points: at tau = 0.9 and 8 nodes, sigma =
-    (1e-4,)*3 gives 4.1e7 and is admitted, and 1e-8 would give 4.1e11.
-    The 32-node rule gives 2.9e6 at sigma = 1 and 7.1e6 at 0.2.
+    The grid is counted before it is built: a sigma whose magnitude box
+    overflows the floats raises ValueError naming ``sigma``, and one of
+    more than ``_MAX_QUAD_POINTS`` (2**26) evaluated points raises
+    ValueError naming ``sigma`` and ``nodes_per_axis``.  The outcome axis
+    keeps the node density of the widest magnitude axis over a range of at
+    least 16, so a small sigma asks for many points: at tau = 0.9 and 8
+    nodes, sigma = (1e-4,)*3 gives 4.1e7 and is admitted, and 1e-8 would
+    give 4.1e11.  The 32-node rule gives 2.9e6 at sigma = 1 and 7.1e6 at
+    0.2.
 
     It under-resolves an asymmetric sigma: the outcome axis's node density
     follows the largest sigma, and the wide axis gets no more nodes than the
@@ -444,12 +515,19 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     if _integer(nodes_per_axis, "nodes_per_axis") < 8:
         raise ValueError("nodes_per_axis must be at least 8")
     sigma = np.asarray(params.sigma)
-    m_max = float(mean_coefficients(params) @ (8.0 * sigma))
+    # The grid is counted before any axis is built.  A sigma near the float
+    # limit overflows here: a huge one is named at once; a tiny one leaves
+    # an infinite density, whose outcome request the cap then refuses.
+    with np.errstate(over="ignore"):
+        m_max = float(mean_coefficients(params) @ (8.0 * sigma))
+        density = float(nodes_per_axis / (8.0 * sigma.max()))
+    if not math.isfinite(m_max):
+        raise ValueError(f"sigma {params.sigma} is too large: the magnitude box "
+                         f"[0, 8*sigma] overflows")
     g_hi = m_max + 8.0
 
-    # The grid is counted before any axis is built.  An outcome request past
-    # the cap is clipped to it: the grid is then refused whatever its size.
-    density = nodes_per_axis / (8.0 * sigma.max())
+    # An outcome request past the cap is clipped to it: the grid is then
+    # refused whatever its size.
     g_half_req = max(nodes_per_axis // 2, math.ceil(min(g_hi * density, _MAX_QUAD_POINTS)), 8)
     shape = tuple(_rule_size(n) for n in (nodes_per_axis,) * 3 + (g_half_req,))
     n_points = math.prod(shape)
@@ -473,7 +551,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
             outcome, mag_density = _joint_density_factors(mags[rows], gamma[rows], params)
             return node_weights * outcome * mag_density
 
-        _, rate_ps = _node_rates(mags, gamma, params, raw=False)
+        _, rate_ps = _node_rates(mags, gamma, params, stride=None)
         total += _weighted_sums([rate_ps], weigh)[0]
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 

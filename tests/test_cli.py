@@ -309,21 +309,21 @@ class TestSweepMode:
         ("trace", [
             "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,trace",
-            "1,0.954992586021436,6.1149816295678222e-05,-0.078974713743202779,"
-            "5.5676521596494666e-06,0.00042575556461242251,65536,7,trace",
-            "2,0.91201083935590976,9.7050534170200348e-11,-0.13824869718346575,"
-            "4.1119804628305881e-11,0.00070274460980457559,65536,7,trace",
-            "3,0.8709635899560807,0,-0.18289650216789324,0,0.00090585660089442376,65536,7,trace",
+            "1,0.954992586021436,6.1149816295678222e-05,-0.078774186111121372,"
+            "5.5676521596494666e-06,0.0004763855316137591,65536,7,trace",
+            "2,0.91201083935590976,9.7050534170200348e-11,-0.13789360915793086,"
+            "4.1119804628305881e-11,0.0007562861615474963,65536,7,trace",
+            "3,0.8709635899560807,0,-0.18259534392941146,0,0.00094941101571748877,65536,7,trace",
         ]),
         ("amplitude", [
             "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,amplitude",
-            "1,0.954992586021436,0.0011847767065997076,-0.039399530858589327,"
-            "4.0830178895145138e-05,0.00024670507010369,65536,7,amplitude",
-            "2,0.91201083935590976,4.3869355149526469e-05,-0.078846381594670473,"
-            "4.3368336777342969e-06,0.00042305689442916647,65536,7,amplitude",
-            "3,0.8709635899560807,1.2471742777098215e-07,-0.11050259728774202,"
-            "3.2495056545613691e-08,0.00057121774305150537,65536,7,amplitude",
+            "1,0.954992586021436,0.0011847767065997076,-0.039254419068078542,"
+            "4.0830178895145138e-05,0.0002804159449303962,65536,7,amplitude",
+            "2,0.91201083935590976,4.3869355149526469e-05,-0.078717209030663371,"
+            "4.3368336777342969e-06,0.00047016802892544556,65536,7,amplitude",
+            "3,0.8709635899560807,1.2471742777098215e-07,-0.11022878081336387,"
+            "3.2495056545613691e-08,0.00061912623745676314,65536,7,amplitude",
         ]),
     ], ids=["trace", "amplitude"])
     def test_csv_output_is_frozen(self, convention, rows, capsys):

@@ -477,7 +477,7 @@ class TestSinglePointHolevo:
         mags = np.abs(rng.normal(0, p.sigma, size=(10_000, 3)))
         means = (mags * mean_coefficients(p)) @ SIGN_PATTERNS.T
         gamma = rng.normal(means[:, 0], 1.0)
-        _, _, chi, _ = _rate_terms(mags, gamma, p)
+        chi = _rate_terms(mags, gamma, p).chi
         assert np.all(chi >= -1e-9)
         assert np.all(chi <= 1.0 + 1e-9)
 
@@ -579,7 +579,7 @@ class TestSinglePointHolevo:
         gamma = rng.normal(0.0, 2.0, 100)
         for m, g in zip(mags, gamma):
             assert single_point_holevo(m, g, p) == 0.0
-        assert np.all(_rate_terms(mags, gamma, p)[2] == 0.0)
+        assert np.all(_rate_terms(mags, gamma, p).chi == 0.0)
 
 
 class TestEveDensityMatrixType:
@@ -668,6 +668,35 @@ class TestOwnTapHolevo:
         assert chi[0] == pytest.approx(want, abs=1e-15)
         assert chi[0] == pytest.approx(gram_oracle_entropy(weights, [overlap]), abs=1e-15)
         assert 0.0 <= bound[0] < 1e-14
+
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_exactly_zero_without_own_deficit(self, convention):
+        """Where A's own deficit is exactly 0, A's two tap states coincide:
+        chi(A; E_A) and its bound are exactly 0 whatever B's and C's taps, and
+        each row's values are its own beside lossy rows.  The closed form once
+        left up to 4.8e-16 on a fifth of the rows at 0 km."""
+        rng = np.random.default_rng(50)
+        mags = np.abs(rng.normal(0.0, 2.0, size=(400, 3)))
+        gamma = rng.normal(0.0, 3.0, 400)
+        params = ProtocolParams(tau=(1.0, 0.6, 0.6), overlap_convention=convention)
+        tables = posterior_table_batch(mags, gamma, params)
+        deficits = overlap_deficits_batch(mags, params)
+        assert not deficits[:, 0].any() and deficits[:, 1:].all()
+        chi, bound = _own_tap_holevo_with_bound(tables, deficits, 1e-10)
+        assert not chi.any() and not bound.any()
+
+        mags[::2, 0] = 0.0  # lossy taps, but no deficit on A's where mag_A = 0
+        params = ProtocolParams(tau=(0.6, 0.6, 0.6), overlap_convention=convention)
+        tables = posterior_table_batch(mags, gamma, params)
+        deficits = overlap_deficits_batch(mags, params)
+        chi, bound = _own_tap_holevo_with_bound(tables, deficits, 1e-10)
+        assert not chi[::2].any() and not bound[::2].any()
+        assert np.all(chi[1::2] > 0.0) and np.all(bound[1::2] > 0.0)
+        for k in range(6):
+            one = slice(k, k + 1)
+            alone = _own_tap_holevo_with_bound(tables[one], deficits[one], 1e-10)
+            assert (chi[k], bound[k]) == (alone[0][0], alone[1][0])
 
 
 class TestHolevoCore:

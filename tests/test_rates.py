@@ -25,6 +25,7 @@ from cvconf.rates import (
     quadrature_cross_check,
     single_point_rate,
     sweep_distance,
+    _SUBSAMPLE,
     _TILE,
     _information_terms,
     _mc_block,
@@ -78,17 +79,16 @@ def _mixture_draws(params, n, seed):
 
 
 def _post_selected(mags, gamma, params):
-    """The node loop's screened view: the post-selected column alone."""
-    rate, rate_ps = _node_rates(mags, gamma, params, raw=False)
+    """The post-selected column of the node loop as the quadrature runs it,
+    with spectra on the unscreened rows alone."""
+    rate, rate_ps = _node_rates(mags, gamma, params, stride=None)
     assert rate is None
     return rate_ps
 
 
 def _screen(mags, gamma, params):
-    """The rows that the node loop, without its raw column, screens out
-    before their spectra."""
-    tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
-    return _screened(tables, overlap_deficits_batch(mags, params), rel_err, mi, mi_err)
+    """The rows that the node loop screens out before their spectra."""
+    return _screened(*_own_tap_terms(mags, gamma, params))
 
 
 def _own_tap_terms(mags, gamma, params):
@@ -109,7 +109,7 @@ def _grid_points(params, nodes_per_axis):
     """The (magnitudes, outcomes) at which the quadrature evaluates its integrand."""
     chunks = []
 
-    def recording(mags, gamma, params, raw):
+    def recording(mags, gamma, params, stride):
         chunks.append((mags.copy(), gamma.copy()))
         return None, np.zeros(len(gamma))
 
@@ -236,7 +236,7 @@ class TestEstimateRatesMc:
         p = ProtocolParams(tau=tuple(rng.uniform(0.4, 1.0, 3)))
         mags = np.abs(rng.normal(0, 1.0, size=(5_000, 3)))
         gamma = rng.normal(0, 2, 5_000)
-        _, mi, chi, _ = _rate_terms(mags, gamma, p)
+        _, mi, _, _, chi, _ = _rate_terms(mags, gamma, p)
         rate = mi - chi
         assert np.all(rate <= mi + 1e-12)
         assert np.all(mi <= 1.0)
@@ -368,7 +368,7 @@ class TestCertifiedDecision:
         mags = np.abs(rng.normal(0.0, 3.0 * sigma, size=(n, 3)))
         gamma = rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
         rate, rate_ps = certified_rates(mags, gamma, params)
-        err = _rate_terms(mags, gamma, params)[3]
+        err = _rate_terms(mags, gamma, params).err
         kept = rate_ps > 0.0
         screened = _screen(mags, gamma, params)
         mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
@@ -408,7 +408,7 @@ class TestCertifiedDecision:
         mags = np.abs(rng.normal(0.0, 2.0, size=(2_000, 3)))
         gamma = rng.normal(0.0, 2.0, 2_000)
         rate, rate_ps = certified_rates(mags, gamma, p)
-        _, mi, chi, err = _rate_terms(mags, gamma, p)
+        _, mi, _, _, chi, err = _rate_terms(mags, gamma, p)
         assert np.array_equal(rate, mi - chi)
         assert np.array_equal(rate_ps, np.where(rate > err, rate, 0.0))
         assert np.all(err > 0.0)
@@ -420,7 +420,7 @@ class TestCertifiedDecision:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
         mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=63)
         rate, rate_ps = certified_rates(mags, gamma, params)
-        _, mi, chi, err = _rate_terms(mags, gamma, params)
+        _, mi, *_, chi, err = _rate_terms(mags, gamma, params)
         whole = mi - chi
         assert np.array_equal(rate, whole)
         assert np.array_equal(rate_ps, np.where(whole > err, whole, 0.0))
@@ -508,9 +508,9 @@ class TestRowLocality:
 
 
 class TestScreen:
-    """The node loop without its raw column skips the spectra of rows that
-    chi(A; E_A) proves the certified rule cannot keep, and returns the
-    post-selected part of certified_rates bit for bit."""
+    """The node loop skips the spectra of rows that chi(A; E_A) proves the
+    certified rule cannot keep, and returns the post-selected part of
+    certified_rates bit for bit."""
 
     @pytest.fixture
     def chi_rows(self, monkeypatch):
@@ -532,7 +532,7 @@ class TestScreen:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         mags, gamma = _mixture_draws(params, _TILE, seed=66)
-        _, _, chi, err = _rate_terms(mags, gamma, params)
+        *_, chi, err = _rate_terms(mags, gamma, params)
         tables, rel_err, _, _ = _information_terms(mags, gamma, params)
         chi_low, chi_low_err = _own_tap_holevo_with_bound(
             tables, overlap_deficits_batch(mags, params), rel_err)
@@ -558,10 +558,11 @@ class TestScreen:
         shares = []
         node_rates = cvconf.rates._node_rates
 
-        def checking(mags, gamma, params, raw):
-            assert not raw
-            rate, rate_ps = node_rates(mags, gamma, params, raw)
-            assert np.array_equal(rate_ps, node_rates(mags, gamma, params, raw=True)[1])
+        def checking(mags, gamma, params, stride):
+            assert stride is None
+            rate, rate_ps = node_rates(mags, gamma, params, stride)
+            # The certified rule on every row, as certified_rates runs it.
+            assert np.array_equal(rate_ps, node_rates(mags, gamma, params, stride=1)[1])
             shares.append(_screen(mags, gamma, params).mean())
             return rate, rate_ps
 
@@ -615,20 +616,23 @@ class TestScreen:
 
     def test_sampler_block_equals_certified_rates(self, monkeypatch):
         """Draws of one sampler block (Philox key (11, 3), amplitude, 3 km)
-        in which one tile once had a single unscreened row whose chi moved."""
+        in which one tile once had a single unscreened row whose chi moved:
+        the block's post-selected column is the certified rule's."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention="amplitude"
                                 ).at_distance(3.0)
         draws = []
+        node_rates = cvconf.rates._node_rates
 
-        def recording(mags, gamma, params):
-            draws.append((mags, gamma))
-            return certified_rates(mags, gamma, params)
+        def recording(mags, gamma, params, stride):
+            rate, rate_ps = node_rates(mags, gamma, params, stride)
+            draws.append((mags, gamma, rate_ps))
+            return rate, rate_ps
 
-        monkeypatch.setattr(cvconf.rates, "certified_rates", recording)
+        monkeypatch.setattr(cvconf.rates, "_node_rates", recording)
         _mc_block((11, 3, 2 * _TILE + 37, params))
-        (mags, gamma), = draws
-        assert np.array_equal(_post_selected(mags, gamma, params),
-                              certified_rates(mags, gamma, params)[1])
+        (mags, gamma, rate_ps), = draws
+        assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
+        assert (rate_ps > 0.0).any()
 
     def test_grid_spectra_for_few_rows(self, chi_rows):
         """At most 5% of the 16-node grid at 2 km reaches the spectra."""
@@ -649,12 +653,102 @@ class TestScreen:
         mags, gamma = mags[open_rows], gamma[open_rows]
         rate, rate_ps = certified_rates(mags, gamma, params)
         kept = np.flatnonzero(rate_ps > 0.0)
-        err = _rate_terms(mags[kept], gamma[kept], params)[3]
+        err = _rate_terms(mags[kept], gamma[kept], params).err
         closest = kept[np.argsort(rate[kept] - err)[:20]]
         assert len(closest) == 20
         assert not _screen(mags[closest], gamma[closest], params).any()
         assert np.array_equal(_post_selected(mags[closest], gamma[closest], params),
                               rate_ps[closest])
+
+
+def _block_draws(params, count, monkeypatch, seed=11, block=3):
+    """The rows, outcomes and likelihood-ratio weights of one sampler block
+    (Philox key (seed, block)), with the block's own estimate's sums."""
+    record = {}
+    node_rates = cvconf.rates._node_rates
+    weighted_sums = cvconf.rates._weighted_sums
+
+    def recording_rates(mags, gamma, params, stride):
+        record.update(mags=mags, gamma=gamma, stride=stride)
+        return node_rates(mags, gamma, params, stride)
+
+    def recording_sums(columns, weigh):
+        record["weight"] = weigh(np.arange(len(record["gamma"])))
+        return weighted_sums(columns, weigh)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cvconf.rates, "_node_rates", recording_rates)
+        patch.setattr(cvconf.rates, "_weighted_sums", recording_sums)
+        sums = _mc_block((seed, block, count, params))
+    return record, sums
+
+
+class TestRawColumn:
+    """The Monte-Carlo raw column: I - chi on the unscreened rows, I -
+    chi(A; E_A) on the screened ones, and a correction _SUBSAMPLE * (chi(A;
+    E_A) - chi) on the screened rows whose index is 0 mod _SUBSAMPLE."""
+
+    @pytest.mark.parametrize("convention, distance", [
+        ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
+    def test_terms_of_each_row_class(self, convention, distance, monkeypatch):
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        record, _ = _block_draws(params, 2 * _TILE + 37, monkeypatch)
+        mags, gamma = record["mags"], record["gamma"]
+        assert record["stride"] == _SUBSAMPLE == 16
+        rate, rate_ps = _node_rates(mags, gamma, params, _SUBSAMPLE)
+        full, full_ps = certified_rates(mags, gamma, params)
+        terms = _rate_terms(mags, gamma, params, slice(0))
+        screened = terms.screened
+        sampled = screened & (np.arange(len(gamma)) % _SUBSAMPLE == 0)
+        rest = screened & ~sampled
+        assert 0.9 < screened.mean() < 1.0 and sampled.sum() > 400
+        assert np.array_equal(rate[~screened], full[~screened])
+        assert np.array_equal(rate[rest], (terms.mi - terms.chi_low)[rest])
+        correction = (_SUBSAMPLE - 1) * (terms.chi_low - _rate_terms(mags, gamma, params).chi)
+        assert np.array_equal(rate[sampled], (full + correction)[sampled])
+        assert np.array_equal(rate_ps, full_ps)
+
+    @pytest.mark.parametrize("convention, distance", [("trace", 2.0), ("amplitude", 4.0)])
+    def test_mean_over_offsets_is_the_full_sum(self, convention, distance):
+        """Each screened row lands in the subsample at exactly one of the
+        _SUBSAMPLE cyclic shifts of a batch, so the raw column's sum averaged
+        over the shifts is the full-chi sum: the estimator's unbiasedness,
+        checked on fixed rows."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        mags, gamma = _mixture_draws(params, 2 * _TILE, seed=70)
+        full = certified_rates(mags, gamma, params)[0]
+        sums = [_node_rates(np.roll(mags, shift, axis=0), np.roll(gamma, shift), params,
+                            _SUBSAMPLE)[0].sum() for shift in range(_SUBSAMPLE)]
+        assert np.mean(sums) == pytest.approx(full.sum(), rel=1e-12, abs=0.0)
+        assert np.ptp(sums) > 1e-6 * np.abs(full).sum()  # the shifts differ
+
+    @pytest.mark.parametrize("convention, distance", [
+        ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
+    def test_mean_within_three_se_of_full_chi(self, convention, distance, monkeypatch):
+        """One block's raw estimate against the weighted full-chi mean of the
+        same draws."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
+                                ).at_distance(distance)
+        record, sums = _block_draws(params, BLOCK_SIZE, monkeypatch, seed=23, block=0)
+        raw = cvconf.rates._estimate_from_sums(sums[0], sums[1], BLOCK_SIZE)
+        assert raw == estimate_rates_mc(params, BLOCK_SIZE, seed=23)[0]
+        full = certified_rates(record["mags"], record["gamma"], params)[0]
+        full_mean = float((record["weight"] * full).sum()) / BLOCK_SIZE
+        assert raw.std_error > 0.0
+        assert abs(raw.value - full_mean) <= 3.0 * raw.std_error
+
+    def test_lossless_raw_column_is_the_information(self):
+        """At unit transmissivity chi and chi(A; E_A) are exactly 0, so every
+        row's raw term is its I, screened, subsampled or not."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        mags, gamma = _mixture_draws(params, _TILE, seed=71)
+        rate, _ = _node_rates(mags, gamma, params, _SUBSAMPLE)
+        terms = _rate_terms(mags, gamma, params, slice(0))
+        assert terms.screened[::_SUBSAMPLE].any() and terms.screened.any()
+        assert not terms.chi_low.any()
+        assert np.array_equal(rate, terms.mi)
 
 
 class TestOutcomeMirror:
@@ -672,8 +766,8 @@ class TestOutcomeMirror:
         gamma = rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
         rate, rate_ps = certified_rates(mags, gamma, params)
         mirror, mirror_ps = certified_rates(mags, -gamma, params)
-        err = _rate_terms(mags, gamma, params)[3]
-        mirror_err = _rate_terms(mags, -gamma, params)[3]
+        err = _rate_terms(mags, gamma, params).err
+        mirror_err = _rate_terms(mags, -gamma, params).err
         assert np.all(np.abs(rate - mirror) <= err + mirror_err)
         decisive = np.abs(rate) > 2.0 * np.maximum(err, mirror_err)
         assert np.array_equal((rate_ps > 0.0)[decisive], (mirror_ps > 0.0)[decisive])
@@ -702,9 +796,9 @@ class TestQuadratureCrossCheck:
         rows = []
         node_rates = cvconf.rates._node_rates
 
-        def counting(mags, gamma, params, raw):
+        def counting(mags, gamma, params, stride):
             rows.append(gamma.copy())
-            return node_rates(mags, gamma, params, raw)
+            return node_rates(mags, gamma, params, stride)
 
         monkeypatch.setattr(cvconf.rates, "_node_rates", counting)
         quad = quadrature_cross_check(ProtocolParams(tau=(1.0, 1.0, 1.0)), nodes_per_axis=8)
@@ -743,6 +837,21 @@ class TestQuadratureCrossCheck:
         the grid was counted."""
         p = ProtocolParams(tau=(0.9, 0.9, 0.9), sigma=(sigma,) * 3)
         with pytest.raises(ValueError, match="sigma.*nodes_per_axis.*cap"):
+            quadrature_cross_check(p, nodes_per_axis=8)
+
+    @pytest.mark.parametrize("sigma", [1e308, 1e-310])
+    @pytest.mark.filterwarnings("error")
+    def test_names_sigma_at_the_float_limit(self, sigma, monkeypatch):
+        """sigma = 1e308 overflowed the magnitude box and raised "cannot
+        convert float NaN to integer"; the subnormal 1e-310 warned of an
+        overflow before its cap error.  Both are named, without a warning,
+        before any axis is built."""
+        def no_axis(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(cvconf.rates, "_composite_gauss_legendre", no_axis)
+        p = ProtocolParams(tau=(0.9, 0.9, 0.9), sigma=(sigma,) * 3)
+        with pytest.raises(ValueError, match="sigma"):
             quadrature_cross_check(p, nodes_per_axis=8)
 
     def test_cap_counts_the_evaluated_points(self, monkeypatch):

@@ -172,9 +172,23 @@ def test_one_row_evaluation():
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             callers.setdefault(node.func.id, set()).add(_enclosing(tree, node))
-    for name in ("_information_terms", "_screened", "_holevo_with_bound"):
+    for name in ("_information_terms", "_own_tap_holevo_with_bound", "_screened",
+                 "_holevo_with_bound"):
         assert callers.get(name) == {"_rate_terms"}, name
     assert "_node_rates" in callers["_rate_terms"]
+
+
+def test_monte_carlo_block_runs_the_node_loop():
+    """The Monte-Carlo block evaluates its rows through the screened node
+    loop ``rates._node_rates`` at stride ``_SUBSAMPLE``, and never through the
+    full-chi oracle ``certified_rates``."""
+    tree = ast.parse((SRC / "rates.py").read_text(encoding="utf-8"))
+    block = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_mc_block")
+    names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
+    assert {"_node_rates", "_SUBSAMPLE"} <= names
+    assert "certified_rates" not in names
+    assert "_rate_terms" not in names
 
 
 def test_parity_sums_are_one_butterfly():
