@@ -302,7 +302,7 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
     signs = rng.choice([-1.0, 1.0], 3)
     p_mags = np.abs(rng.normal(0.0, params.sigma))
     q_mags = np.abs(rng.normal(0.0, params.sigma))
-    gamma = float(_draw_outcomes(rng, signs, p_mags, params))
+    gamma = float(next(_draw_outcomes(rng, signs, p_mags, [params])))
     result = simulate_relay(signs, q_mags, p_mags, params,
                             (rng.normal(), rng.normal(), gamma))
     want = outcome_density(signs, p_mags, gamma, params)
@@ -336,7 +336,7 @@ def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, f
     params = _draw_params(rng, convention)
     mags = np.abs(rng.normal(0.0, params.sigma))
     signs = rng.choice([-1.0, 1.0], 3)
-    gamma = float(_draw_outcomes(rng, signs, mags, params))
+    gamma = float(next(_draw_outcomes(rng, signs, mags, [params])))
     table = sign_posterior_table(mags, gamma, params)
     overlaps = eve_overlaps(mags, params)
     rho = assemble_total_state(table, overlaps)

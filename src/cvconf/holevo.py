@@ -61,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import _EPS, PosteriorTable, _eta, posterior_table_batch
+from .inference import _EPS, _MARGINAL_ROWS, PosteriorTable, _eta, _row_sum, \
+    posterior_table_batch
 from .protocol import SIGN_PATTERNS, ProtocolParams, _check_mags, _floats, _one_announcement, \
     _tap_exponents
 
@@ -99,8 +100,7 @@ _BITS8 = ((SIGN_PATTERNS + 1.0) / 2.0)                       # (8, 3)
 
 # Table rows with A = +1, then A = -1, each holding (B, C) in the table's
 # order.
-_A_ROWS = np.stack([np.flatnonzero(SIGN_PATTERNS[:, 0] > 0),
-                    np.flatnonzero(SIGN_PATTERNS[:, 0] < 0)])
+_A_ROWS = _MARGINAL_ROWS[:2]
 
 # (B, C) sign bits of the 4x4 basis: those of A's rows, in the same order.
 _BITS4 = _BITS8[_A_ROWS[0], 1:]
@@ -269,8 +269,8 @@ def _entropy_with_bound(lam: np.ndarray, rel_err, abs_err: float) -> tuple[np.nd
     eta = _eta(x)
     dev = np.maximum(np.abs(_eta(lo) - eta), np.abs(_eta(hi) - eta))
     dev = np.where((lo < _ETA_PEAK_X) & (hi > _ETA_PEAK_X), np.maximum(dev, _ETA_PEAK - eta), dev)
-    entropy = eta.sum(axis=-1) + 0.0
-    return entropy, dev.sum(axis=-1) + 4.0 * _EPS * entropy
+    entropy = _row_sum(eta)
+    return entropy, _row_sum(dev) + 4.0 * _EPS * entropy
 
 
 def von_neumann_entropy(rho) -> float:
@@ -301,9 +301,13 @@ def gram_spectrum(weights, overlaps) -> np.ndarray:
     # Written so that NaN weights fail too.
     if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-10):
         raise ValueError(f"weights must be a probability vector, got {weights!r}")
-    gram = np.array([[1.0]])
-    for xi in x:
-        gram = np.kron(gram, np.array([[1.0, xi], [xi, 1.0]]))
+    # Entry (m, n) of the tensor product takes X of each party whose bit
+    # differs between m and n, party 0 the most significant, multiplied in
+    # party order as the Kronecker product of the blocks would.
+    flips = np.bitwise_xor.outer(np.arange(w.size), np.arange(w.size))
+    gram = np.ones((w.size, w.size))
+    for party, xi in enumerate(x):
+        gram = gram * np.where(flips & (w.size >> (party + 1)), xi, 1.0)
     root = np.sqrt(w)
     return np.linalg.eigvalsh(gram * np.outer(root, root))
 
@@ -372,7 +376,7 @@ def _own_tap_holevo_with_bound(tables: np.ndarray, deficits: np.ndarray,
     nothing about A's sign, where the formula would leave the entropy of a
     larger eigenvalue one rounding off 1.
     """
-    p, q = tables[:, _A_ROWS].sum(axis=-1).T
+    p, q = _row_sum(tables[:, _A_ROWS]).T
     delta = deficits[:, 0]
     overlap = 1.0 - delta
     larger = 0.5 * ((p + q) + np.sqrt((p - q) ** 2 + 4.0 * p * q * (overlap * overlap)))

@@ -25,6 +25,8 @@ entries inside the core, not functions of their own.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,12 @@ __all__ = [
     "single_point_mi",
 ]
 
-# Boolean masks over the table order: row t has A's (B's) sign positive.
-_A_POS = SIGN_PATTERNS[:, 0] > 0
-_B_POS = SIGN_PATTERNS[:, 1] > 0
+# Table entries, in table order, under each sign of A and then of B, and
+# under each sign pair (A, B), each positive sign first.
+_MARGINAL_ROWS = np.array([np.flatnonzero(SIGN_PATTERNS[:, party] == sign)
+                           for party in (0, 1) for sign in (1, -1)])
+_JOINT_ROWS = np.array([np.flatnonzero((SIGN_PATTERNS[:, 0] == a) & (SIGN_PATTERNS[:, 1] == b))
+                        for a in (1, -1) for b in (1, -1)])
 
 # Machine epsilon: every error bound of the package counts in its ulps.
 _EPS = float(np.finfo(float).eps)
@@ -86,9 +91,9 @@ def posterior_table_batch(mags: np.ndarray, gamma: np.ndarray,
     ndarray, shape (n, 8)
     """
     loglik = _outcome_exponents(mags, gamma, params)
-    loglik -= loglik.max(axis=1, keepdims=True)
+    loglik -= _pairwise(np.maximum, loglik)
     table = np.exp(loglik)
-    table /= table.sum(axis=1, keepdims=True)
+    table /= _row_sum(table)[:, None]
     return table
 
 
@@ -121,6 +126,28 @@ def single_point_mi(mags, gamma: float, params: ProtocolParams) -> float:
     return float(_mi_with_bound(table.probs[None, :], 0.0)[0][0])
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` bit for bit, for at most eight entries per row.
+
+    numpy adds such a row onto 0.0, left to right below eight entries and as
+    a balanced pairwise tree at eight.  Written out over whole columns, each
+    addition is one elementwise pass over the batch, where numpy's reduction
+    runs one short inner loop per row.
+    """
+    if x.shape[-1] == 8:
+        x = _pairwise(np.add, x)
+    return functools.reduce(operator.add, x.T, 0.0).T
+
+
+def _pairwise(ufunc, x: np.ndarray) -> np.ndarray:
+    """The last axis of x, a power of 2 long, reduced by ``ufunc`` over a
+    balanced pairwise tree, each stage one elementwise pass over the batch;
+    the axis is kept, with length 1."""
+    while x.shape[-1] > 1:
+        x = ufunc(x[..., 0::2], x[..., 1::2])
+    return x
+
+
 def _eta(x: np.ndarray) -> np.ndarray:
     """-x*log2(x) elementwise, with 0*log(0) = 0: one term of an entropy."""
     return -x * np.log2(np.where(x > 0.0, x, 1.0))
@@ -136,10 +163,10 @@ def _mi_with_bound(tables: np.ndarray, rel_err) -> tuple[np.ndarray, np.ndarray]
     S = H(A) + H(B) + H(A, B).  The bound adds eight ulps to eps and one
     more S for the rounding of the sums and logarithms themselves.
     """
-    a, b = _A_POS, _B_POS
-    h_a = _eta(tables[:, a].sum(axis=1)) + _eta(tables[:, ~a].sum(axis=1))
-    h_b = _eta(tables[:, b].sum(axis=1)) + _eta(tables[:, ~b].sum(axis=1))
-    h_ab = sum(_eta(tables[:, mask].sum(axis=1)) for mask in (a & b, a & ~b, ~a & b, ~a & ~b))
+    marginal = _eta(_row_sum(tables[:, _MARGINAL_ROWS]))
+    h_a = marginal[:, 0] + marginal[:, 1]
+    h_b = marginal[:, 2] + marginal[:, 3]
+    h_ab = sum(_eta(_row_sum(tables[:, _JOINT_ROWS])).T)
     mi = np.clip(h_a + h_b - h_ab, 0.0, 1.0)
     bound = (rel_err + 8.0 * _EPS) * (6.0 + 3.0 * (h_a + h_b + h_ab))
     return mi, bound

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,11 +218,19 @@ def _outcome_exponents(mags: np.ndarray, gamma: np.ndarray,
 
 
 def _draw_outcomes(rng: np.random.Generator, signs, mags,
-                   params: ProtocolParams) -> np.ndarray | float:
-    """The draw side of :func:`_outcome_exponents`: reconciled outcomes
-    ~ N(sum_i w_i * s_i * mag_i, 1) for signs and magnitudes (..., 3), one
-    standard normal of ``rng`` per outcome."""
-    return rng.normal((signs * mags) @ mean_coefficients(params), 1.0)
+                   grid: Sequence[ProtocolParams]) -> Iterator[np.ndarray]:
+    """The draw side of :func:`_outcome_exponents`, at each params of ``grid``:
+    reconciled outcomes ~ N(sum_i w_i * s_i * mag_i, 1) for signs and
+    magnitudes (..., 3).
+
+    One standard normal of ``rng`` is drawn per outcome, once for the whole
+    grid, and each params' outcomes are its own mean plus those normals
+    (common random numbers).  For one params these are the bits that
+    ``rng.normal(mean, 1.0)`` draws.  Returns an iterator over the grid that
+    forms each params' outcomes as it is read.
+    """
+    noise = rng.standard_normal(np.shape(signs)[:-1])
+    return ((signs * mags) @ mean_coefficients(params) + noise for params in grid)
 
 
 def outcome_density(signs, mags, gamma: float, params: ProtocolParams) -> float:

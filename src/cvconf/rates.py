@@ -56,7 +56,7 @@ import numpy as np
 
 from .holevo import _holevo_in_range, _holevo_with_bound, _own_tap_holevo_with_bound, \
     overlap_deficits_batch
-from .inference import _EPS, _mi_with_bound, posterior_rel_err, posterior_table_batch
+from .inference import _EPS, _mi_with_bound, _row_sum, posterior_rel_err, posterior_table_batch
 from .protocol import ProtocolParams, _draw_outcomes, _joint_density_factors, \
     _one_announcement, mean_coefficients
 # Not called here; the benchmark's span tracer wraps these two names of this module.
@@ -97,11 +97,19 @@ _TILE = 1 << 12
 
 # One screened row in this many gets spectra in the Monte-Carlo block, for
 # the raw column's correction (:func:`_node_rates`).  Divides _TILE.  Chosen
-# by the raw column's standard error times sqrt(CPU-s) at trace 1-3 km,
-# 2**17 samples: 16 is 2.2-2.5x better than spectra on every row, 7-15%
-# better than 8, and within 1-6% of 32, which grows the raw column's
-# variance per sample 1.2-1.6x where 16 grows it 1.1-1.3x.
-_SUBSAMPLE = 16
+# by the raw column's standard error times sqrt(CPU-s) of one serial sweep of
+# trace 1, 2, 3 and 5 km at 2**17 samples: the SE's median over seeds 1-8,
+# the CPU-s median over 20 timings of the four distances together, one BLAS
+# thread (SE x sqrt(CPU-s) in units of 1e-4):
+#
+#     stride   CPU-s   1 km   2 km   3 km   5 km
+#       16     0.62    2.66   4.21   5.27   6.76
+#       32     0.48    2.62   4.02   4.89   6.08
+#       64     0.41    2.86   4.18   4.91   5.84
+#
+# 32 is the best out to 3 km, where R_PS is positive; 64 gains only beyond,
+# and grows the raw variance per sample 1.1-1.4x over 32's.
+_SUBSAMPLE = 32
 
 # Gauss-Legendre points per quadrature panel, grid points per chunk of the
 # quadrature (bounds the chunk's points, rates and summed terms; _TILE
@@ -249,7 +257,10 @@ def _node_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
     the index alone, so the correction k (chi_low - chi) on 1/k of the
     screened rows has the mean of chi_low - chi over all of them.  This is
     the two-level case of multilevel Monte Carlo (Giles, Acta Numerica 24,
-    2015), with chi_low as the cheap level.
+    2015), with chi_low as the cheap level.  That level runs on every row,
+    so it sums short rows over whole columns
+    (:func:`~cvconf.inference._row_sum`), and the stride balances the two
+    levels at their costs (``_SUBSAMPLE``).
     """
     n = len(gamma)
     spectra = slice(0) if stride is None else slice(None, None, stride)
@@ -320,21 +331,28 @@ def _screened(mi, mi_err, chi_low, chi_low_err) -> np.ndarray:
     return mi - chi_low + chi_low_err <= mi_err / 2.0
 
 
-def _mc_block(args) -> tuple[float, float, float, float]:
-    """Weighted sums of the rate and its post-selected part over one block."""
-    seed, block_index, count, params = args
+def _mc_block(args) -> list[tuple[float, float, float, float]]:
+    """Weighted sums of the rate and its post-selected part over one block,
+    one 4-tuple per params of the grid, in grid order.
+
+    The block's signs, magnitudes, weights and standard normals are drawn
+    once; each params' outcomes are its own mean plus those normals
+    (:func:`~cvconf.protocol._draw_outcomes`), the bits a block of that
+    params alone would draw.  The grid's params share sigma.
+    """
+    seed, block_index, count, grid = args
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64)))
-    sigma = np.asarray(params.sigma)
     wide = rng.integers(0, 2, size=count) == 1
     signs = 2.0 * rng.integers(0, 2, size=(count, 3)) - 1.0
     z = np.abs(rng.normal(0.0, 1.0, size=(count, 3))) * np.where(wide, _WIDE, 1.0)[:, None]
-    mags = z * sigma
-    gamma = _draw_outcomes(rng, signs, mags, params)
+    mags = z * np.asarray(grid[0].sigma)
+    outcomes = _draw_outcomes(rng, signs, mags, grid)
     # p/q = 2 / (1 + q_wide/p) with log(q_wide/p) = slope*|z|^2 + offset.
-    log_ratio = _LOG_WIDE_RATIO_SLOPE * (z * z).sum(axis=1) + _LOG_WIDE_RATIO_OFFSET
+    log_ratio = _LOG_WIDE_RATIO_SLOPE * _row_sum(z * z) + _LOG_WIDE_RATIO_OFFSET
     weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
 
-    return _weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE), weight.__getitem__)
+    return [_weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE), weight.__getitem__)
+            for params, gamma in zip(grid, outcomes)]
 
 
 def _weighted_sums(columns, weigh) -> tuple[float, ...]:
@@ -389,6 +407,9 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
                       n_workers: int = 1) -> tuple[RateEstimate, RateEstimate]:
     """Monte-Carlo estimates of the raw and post-selected rates of I(A:B) - chi(A).
 
+    :func:`_estimate_each` on a grid of one params: a sweep's point at a
+    distance is this estimate at that distance, bit for bit.
+
     Parameters
     ----------
     params : ProtocolParams
@@ -413,7 +434,7 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
         on the screened samples, and ``_SUBSAMPLE`` times their difference
         is added on the screened samples whose index in their block is 0
         mod ``_SUBSAMPLE`` (:func:`_node_rates`).  On one block each at
-        trace 1 and 2 km and amplitude 3 km, it lies within 0.1 SE of the
+        trace 1 and 2 km and amplitude 3 km, it lies within 0.3 SE of the
         full-chi mean of the same samples.  Its standard error is pooled
         over every sample as if they were iid, which makes it conservative:
         the samples are iid only in groups of ``_SUBSAMPLE``, and the pooled
@@ -426,30 +447,35 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     return _estimate_each([params], *_check_mc_arguments(n_samples, seed, n_workers))[0]
 
 
-def _estimate_each(params_list, n_samples: int, seed: int,
+def _estimate_each(grid, n_samples: int, seed: int,
                    n_workers: int) -> list[tuple[RateEstimate, RateEstimate]]:
-    """(raw, post-selected) estimates at each of ``params_list``, in order.
+    """(raw, post-selected) estimates at each params of ``grid``, in order.
 
-    Takes checked arguments.  One pool of min(n_workers, blocks, CPUs)
-    processes, when that is > 1, serves every entry; only one entry's
-    blocks are submitted at a time, so the task queue stays one entry long.
+    Takes checked arguments and a grid whose params share sigma.  There is
+    one task per block, and each task evaluates its block at every params
+    of the grid (:func:`_mc_block`), so the block is drawn once for the
+    whole grid.  One pool of min(n_workers, blocks, CPUs) processes runs the
+    tasks when that is > 1; an empty grid starts none and draws nothing.
+    Each params' sums are then reduced over the blocks in block order.
     """
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    counts = [min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE) for b in range(n_blocks)]
+    if any(params.sigma != grid[0].sigma for params in grid):
+        raise ValueError("the params of one Monte-Carlo grid must share sigma")
+    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE if grid else 0
+    tasks = [(seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), grid)
+             for b in range(n_blocks)]
     n_processes = min(n_workers, n_blocks, os.cpu_count() or 1)
-    estimates = []
     with contextlib.ExitStack() as stack:
         run_blocks = map
-        if n_processes > 1 and params_list:
+        if n_processes > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_processes))
             run_blocks = functools.partial(pool.map, chunksize=1)
-        for params in params_list:
-            tasks = [(seed, b, count, params) for b, count in enumerate(counts)]
-            block_sums = list(run_blocks(_mc_block, tasks))
-            # Fixed-order pairwise reduction over blocks.
-            sums = np.sum(np.asarray(block_sums, dtype=float), axis=0)
-            estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples),
-                              _estimate_from_sums(sums[2], sums[3], n_samples)))
+        block_sums = list(run_blocks(_mc_block, tasks))
+    estimates = []
+    for index in range(len(grid)):
+        # Fixed-order reduction over blocks.
+        sums = np.sum(np.asarray([block[index] for block in block_sums], dtype=float), axis=0)
+        estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples),
+                          _estimate_from_sums(sums[2], sums[3], n_samples)))
     return estimates
 
 
@@ -562,15 +588,20 @@ def sweep_distance(params_template: ProtocolParams, distances, n_samples: int,
 
     Every distance reuses the same seed, so adjacent points share their
     announcement randomness (common random numbers) and the sweep is
-    deterministic given (seed, n_samples).  The arguments are checked
-    before any distance, so an empty grid rejects bad ones too.  One
-    process pool serves the whole grid, distance after distance; each
+    deterministic given (seed, n_samples).  The arguments are checked,
+    ``distances`` included (ValueError naming it for one that is not a
+    number), before any pool starts, so an empty grid rejects bad ones too.
+    There is one task per block for the whole grid (:func:`_estimate_each`):
+    each draws its block once and evaluates it at every distance.  Each
     point is bit-identical to :func:`estimate_rates_mc` at that distance,
     for any worker count.
     """
     checked = _check_mc_arguments(n_samples, seed, n_workers)
-    grid = [float(d) for d in distances]
-    params_list = [params_template.at_distance(d) for d in grid]
-    estimates = _estimate_each(params_list, *checked)
+    try:
+        distances = [float(d) for d in distances]
+    except (TypeError, ValueError):
+        raise ValueError(f"distances must be real numbers, got {distances!r}") from None
+    grid = [params_template.at_distance(d) for d in distances]
+    estimates = _estimate_each(grid, *checked)
     return [SweepPoint(d, params.tau[0], post, raw)
-            for d, params, (raw, post) in zip(grid, params_list, estimates)]
+            for d, params, (raw, post) in zip(distances, grid, estimates)]

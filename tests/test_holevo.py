@@ -347,6 +347,19 @@ class TestVonNeumannEntropy:
 
 
 class TestGramOracleEntropy:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_spectrum_is_that_of_the_kronecker_product(self, k):
+        """The Gram matrix is built entry by entry, and its spectrum keeps the
+        bits of the Kronecker-product construction it replaced."""
+        rng = np.random.default_rng(39 + k)
+        cases = [(rng.dirichlet(np.ones(2 ** k)), rng.uniform(0.0, 1.0, k)) for _ in range(50)]
+        cases += [(np.full(2 ** k, 2.0 ** -k), np.array(x[:k]))
+                  for x in ((0.0, 1.0, 0.5), (1.0, 1.0, 1.0), (5e-324, 1e-310, 1.0))]
+        for weights, overlaps in cases:
+            root = np.sqrt(weights)
+            want = np.linalg.eigvalsh(kron_overlap_matrix(overlaps) * np.outer(root, root))
+            assert np.array_equal(gram_spectrum(weights, overlaps), want)
+
     def test_uniform_orthogonal(self):
         assert gram_oracle_entropy(np.full(8, 0.125), (0, 0, 0)) == pytest.approx(
             3.0, abs=1e-12)
@@ -697,6 +710,54 @@ class TestOwnTapHolevo:
             one = slice(k, k + 1)
             alone = _own_tap_holevo_with_bound(tables[one], deficits[one], 1e-10)
             assert (chi[k], bound[k]) == (alone[0][0], alone[1][0])
+
+
+def numpy_row_sum(x):
+    """The numpy row reduction that ``_row_sum`` replaces."""
+    return x.sum(axis=-1)
+
+
+def same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestColumnReductions:
+    """The entropies' sums, written over columns, keep the bits of the numpy
+    row reductions they replace, in chi(A; E_A) on every row and in the
+    spectra's entropies, on tables with zeros, subnormals and ones and on
+    deficits with exact zeros and subnormals."""
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(120)
+        params = random_params(rng)
+        n = 4096
+        mags = np.abs(rng.normal(0.0, 1.0, (n, 3))) * 10.0 ** rng.uniform(-1.0, 1.6, (n, 1))
+        mags[: n // 8] = 0.0
+        mags[n // 8: n // 4, 0] = 0.0
+        mags[n // 4: n // 4 + 64, 1] = 5e-324
+        gamma = rng.normal(0.0, 3.0, n) * 10.0 ** rng.uniform(0.0, 1.0, n)
+        gamma[-4:] = [1e150, -1e150, 0.0, 5e-324]
+        tables = posterior_table_batch(mags, gamma, params)
+        assert (tables == 0.0).any() and (tables == 1.0).any()
+        assert ((0.0 < tables) & (tables < 1e-308)).any()
+        return tables, overlap_deficits_batch(mags, params), rng.uniform(0.0, 1e-12, n)
+
+    def test_sums_keep_numpy_bits(self, rows, monkeypatch):
+        tables, deficits, rel_err = rows
+        lam = np.linalg.eigvalsh(_assemble_batch(tables[:512], deficits[:512]))
+        calls = {
+            "entropy": lambda: cvconf.holevo._entropy_with_bound(lam, rel_err[:512, None], 1e-15),
+            "own tap": lambda: _own_tap_holevo_with_bound(tables, deficits, rel_err),
+            "chi": lambda: _holevo_with_bound(tables[:512], deficits[:512], rel_err[:512]),
+        }
+        got = {name: call() for name, call in calls.items()}
+        monkeypatch.setattr(cvconf.holevo, "_row_sum", numpy_row_sum)
+        for name, call in calls.items():
+            for mine, numpy_s in zip(got[name], call()):
+                assert same_bits(mine, numpy_s), name
 
 
 class TestHolevoCore:

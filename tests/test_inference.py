@@ -5,15 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from cvconf.holevo import _condition
+import cvconf.inference
+from cvconf.holevo import _A_ROWS, _condition
 from cvconf.inference import (
+    _JOINT_ROWS,
+    _MARGINAL_ROWS,
     PosteriorTable,
     _mi_with_bound,
+    _pairwise,
+    _row_sum,
     posterior_table_batch,
     sign_posterior_table,
     single_point_mi,
 )
-from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, mean_coefficients, outcome_density
+from cvconf.protocol import SIGN_PATTERNS, ProtocolParams, _outcome_exponents, \
+    mean_coefficients, outcome_density
 
 
 def random_params(rng, **overrides):
@@ -279,3 +285,90 @@ class TestSinglePointMi:
         for k in range(50):
             assert batch[k] == pytest.approx(
                 single_point_mi(mags[k], gamma[k], p), abs=1e-13)
+
+
+def numpy_row_sum(x):
+    """The numpy row reduction that ``_row_sum`` replaces."""
+    return x.sum(axis=-1)
+
+
+def same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def extreme_values(rng, shape):
+    """Random magnitudes over 40 decades and signs, a third of them replaced
+    by zeros of either sign, subnormals, the smallest normal, 1 and 1e300."""
+    x = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = rng.random(shape) < 0.35
+    pool = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300]
+    x[special] = rng.choice(pool, int(special.sum()))
+    return x * rng.choice([-1.0, 1.0], shape)
+
+
+def extreme_announcements(rng, n, params):
+    """Announcements whose tables hold ordinary entries, zeros, subnormals and
+    ones: magnitudes from 0 to 40 sigma, some exactly 0 or subnormal, and
+    outcomes up to 1e150."""
+    mags = np.abs(rng.normal(0.0, 1.0, (n, 3))) * 10.0 ** rng.uniform(-1.0, 1.6, (n, 1))
+    mags[: n // 8] = 0.0
+    mags[n // 8: n // 4, 1] = 5e-324
+    gamma = rng.normal(0.0, 3.0, n) * 10.0 ** rng.uniform(0.0, 1.0, n)
+    gamma[n // 4: n // 4 + 8] = [1e150, -1e150, 1e20, 0.0, -0.0, 5e-324, 1e-310, 1.0]
+    return mags, gamma
+
+
+class TestColumnSums:
+    """The every-row level sums short rows over whole columns
+    (``_row_sum``); every such sum keeps numpy's bits."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_row_sum_is_numpy_sum(self, k):
+        rng = np.random.default_rng(100 + k)
+        for shape in ((2000, k), (300, 2, k), (k,)):
+            x = extreme_values(rng, shape)
+            assert same_bits(_row_sum(x), numpy_row_sum(x))
+        zeros = np.full((3, k), -0.0)
+        assert same_bits(_row_sum(zeros), numpy_row_sum(zeros))
+
+    @pytest.mark.parametrize("rows", [_MARGINAL_ROWS, _JOINT_ROWS, _A_ROWS],
+                             ids=["marginals", "joints", "A's rows"])
+    def test_gathered_table_entries_are_numpy_sums(self, rows):
+        """The sums of table entries that the information and the Holevo
+        core gather, non-contiguous columns included."""
+        rng = np.random.default_rng(110)
+        x = np.abs(extreme_values(rng, (2000, 8)))[:, rows]
+        assert same_bits(_row_sum(x), numpy_row_sum(x))
+
+    def test_pairwise_max_is_numpy_max(self):
+        """The posterior's shift: any order gives the same maximum, NaN included."""
+        rng = np.random.default_rng(111)
+        x = extreme_values(rng, (2000, 8))
+        x[:5, 3] = np.nan
+        assert np.array_equal(_pairwise(np.maximum, x), x.max(axis=1, keepdims=True),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("convention", ["trace", "amplitude"])
+    def test_posterior_keeps_the_row_reductions_bits(self, convention):
+        rng = np.random.default_rng(112)
+        params = random_params(rng, overlap_convention=convention)
+        mags, gamma = extreme_announcements(rng, 4096, params)
+        loglik = _outcome_exponents(mags, gamma, params)
+        loglik -= loglik.max(axis=1, keepdims=True)
+        want = np.exp(loglik)
+        want /= want.sum(axis=1, keepdims=True)
+        got = posterior_table_batch(mags, gamma, params)
+        assert same_bits(got, want)
+        assert (got == 0.0).any() and (got == 1.0).any() and ((0.0 < got) & (got < 1e-308)).any()
+
+    def test_information_keeps_the_row_reductions_bits(self, monkeypatch):
+        rng = np.random.default_rng(113)
+        params = random_params(rng)
+        tables = posterior_table_batch(*extreme_announcements(rng, 4096, params), params)
+        rel_err = rng.uniform(0.0, 1e-12, 4096)
+        got = _mi_with_bound(tables, rel_err)
+        monkeypatch.setattr(cvconf.inference, "_row_sum", numpy_row_sum)
+        want = _mi_with_bound(tables, rel_err)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])

@@ -182,15 +182,18 @@ class TestOutcomeDensity:
             outcome_density((1, 0, 1), (1, 1, 1), 0.0, p)
 
 
-class _RecordingRng:
-    """Records each ``normal(loc, scale)`` call and returns its centre."""
+class _ConstantRng:
+    """Draws every standard normal as ``value``."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, value):
+        self.value = value
 
-    def normal(self, loc, scale):
-        self.calls.append((np.asarray(loc), scale))
-        return np.asarray(loc)
+    def standard_normal(self, size):
+        return np.full(size, self.value)
+
+
+def _philox(seed=7, block=2):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 class TestDrawOutcomes:
@@ -201,22 +204,38 @@ class TestDrawOutcomes:
         rng = np.random.default_rng(12)
         p = random_params(rng)
         mags = np.abs(rng.normal(0.0, 2.0, (8, 3)))
-        recorder = _RecordingRng()
-        gamma = _draw_outcomes(recorder, SIGN_PATTERNS, mags, p)
-        [(centre, scale)] = recorder.calls
-        assert centre.shape == gamma.shape == (8,)
+        [centre] = _draw_outcomes(_ConstantRng(0.0), SIGN_PATTERNS, mags, [p])
+        [spread] = _draw_outcomes(_ConstantRng(1.0), SIGN_PATTERNS, mags, [p])
+        assert centre.shape == spread.shape == (8,)
         # Row t draws under SIGN_PATTERNS[t], column t of the exponents.
         assert np.diag(_outcome_exponents(mags, centre, p)) == pytest.approx(0.0, abs=1e-28)
-        assert np.diag(_outcome_exponents(mags, centre + scale, p)) == pytest.approx(
-            -0.5, rel=1e-12)
+        assert np.diag(_outcome_exponents(mags, spread, p)) == pytest.approx(-0.5, rel=1e-12)
 
     def test_one_announcement_draws_one_standard_normal(self):
         p = ProtocolParams(tau=(0.7, 0.8, 0.9))
         signs, mags = np.array([1.0, -1.0, 1.0]), np.array([1.2, 0.3, 2.0])
-        got = _draw_outcomes(np.random.default_rng(5), signs, mags, p)
+        got = next(_draw_outcomes(np.random.default_rng(5), signs, mags, [p]))
         rng = np.random.default_rng(5)
         want = float(mean_coefficients(p) @ (signs * mags)) + rng.standard_normal()
         assert got == pytest.approx(want, rel=1e-15)
+
+    def test_grid_draw_is_each_params_normal_draw(self):
+        """Each params' outcomes are, bit for bit, what ``rng.normal(mean, 1.0)``
+        draws for that params alone from the same stream, and the grid uses
+        one standard normal per outcome whatever its length."""
+        rng = np.random.default_rng(13)
+        grid = [random_params(rng, overlap_convention=c) for c in ("trace", "amplitude") * 3]
+        signs = rng.choice([-1.0, 1.0], (5000, 3))
+        mags = np.abs(rng.normal(0.0, 3.0, (5000, 3)))
+        drawn = _philox()
+        outcomes = list(_draw_outcomes(drawn, signs, mags, grid))
+        assert len(outcomes) == len(grid)
+        for params, got in zip(grid, outcomes):
+            alone = _philox()
+            assert np.array_equal(got, alone.normal((signs * mags) @ mean_coefficients(params),
+                                                    1.0))
+        # The grid's stream stands where one params' draw leaves it.
+        assert drawn.standard_normal() == alone.standard_normal()
 
 
 def _outcome_density(mags, gamma, p):

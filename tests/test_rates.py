@@ -629,7 +629,7 @@ class TestScreen:
             return rate, rate_ps
 
         monkeypatch.setattr(cvconf.rates, "_node_rates", recording)
-        _mc_block((11, 3, 2 * _TILE + 37, params))
+        _mc_block((11, 3, 2 * _TILE + 37, [params]))
         (mags, gamma, rate_ps), = draws
         assert np.array_equal(rate_ps, certified_rates(mags, gamma, params)[1])
         assert (rate_ps > 0.0).any()
@@ -679,7 +679,7 @@ def _block_draws(params, count, monkeypatch, seed=11, block=3):
     with monkeypatch.context() as patch:
         patch.setattr(cvconf.rates, "_node_rates", recording_rates)
         patch.setattr(cvconf.rates, "_weighted_sums", recording_sums)
-        sums = _mc_block((seed, block, count, params))
+        [sums] = _mc_block((seed, block, count, [params]))
     return record, sums
 
 
@@ -695,14 +695,14 @@ class TestRawColumn:
                                 ).at_distance(distance)
         record, _ = _block_draws(params, 2 * _TILE + 37, monkeypatch)
         mags, gamma = record["mags"], record["gamma"]
-        assert record["stride"] == _SUBSAMPLE == 16
+        assert record["stride"] == _SUBSAMPLE == 32
         rate, rate_ps = _node_rates(mags, gamma, params, _SUBSAMPLE)
         full, full_ps = certified_rates(mags, gamma, params)
         terms = _rate_terms(mags, gamma, params, slice(0))
         screened = terms.screened
         sampled = screened & (np.arange(len(gamma)) % _SUBSAMPLE == 0)
         rest = screened & ~sampled
-        assert 0.9 < screened.mean() < 1.0 and sampled.sum() > 400
+        assert 0.9 < screened.mean() < 1.0 and sampled.sum() > 200
         assert np.array_equal(rate[~screened], full[~screened])
         assert np.array_equal(rate[rest], (terms.mi - terms.chi_low)[rest])
         correction = (_SUBSAMPLE - 1) * (terms.chi_low - _rate_terms(mags, gamma, params).chi)
@@ -879,21 +879,55 @@ class TestSweepDistance:
             assert abs(point.tau - want) <= 1e-15
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
-        """One pool serves the whole grid, one distance's blocks at a time,
-        and every point is the serial estimate at its distance."""
+        """One pool, when there is one, serves the whole grid in one map call
+        of one task per block, each task carrying the whole grid, and every
+        point is the serial estimate at its distance, for 1, 2 and 4
+        workers."""
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         template = ProtocolParams(tau=(1.0, 1.0, 1.0))
-        n = BLOCK_SIZE + 64
-        points = sweep_distance(template, [float(d) for d in range(8)], n, seed=3, n_workers=4)
-        assert recording_pool.started == [2]
-        assert len(recording_pool.mapped) == 8
-        for tasks in recording_pool.mapped:
-            assert [t[1] for t in tasks] == [0, 1]
-            assert all(t[3] == tasks[0][3] for t in tasks)
-        for point in points:
-            params = template.at_distance(point.distance_km)
-            raw, post = estimate_rates_mc(params, n, seed=3, n_workers=1)
-            assert point == SweepPoint(point.distance_km, params.tau[0], post, raw)
+        distances = [float(d) for d in range(8)]
+        n = 2 * BLOCK_SIZE + 64
+        serial = [estimate_rates_mc(template.at_distance(d), n, seed=3, n_workers=1)
+                  for d in distances]
+        for n_workers in (1, 2, 4):
+            recording_pool.started.clear()
+            recording_pool.mapped.clear()
+            points = sweep_distance(template, distances, n, seed=3, n_workers=n_workers)
+            # Never more processes than blocks: three here.
+            assert recording_pool.started == ([] if n_workers == 1 else [min(n_workers, 3)])
+            if n_workers > 1:
+                [tasks] = recording_pool.mapped
+                assert [t[:3] for t in tasks] == [(3, 0, BLOCK_SIZE), (3, 1, BLOCK_SIZE),
+                                                  (3, 2, 64)]
+                for task in tasks:
+                    assert task[3] == [template.at_distance(d) for d in distances]
+            for point, (raw, post) in zip(points, serial):
+                params = template.at_distance(point.distance_km)
+                assert point == SweepPoint(point.distance_km, params.tau[0], post, raw)
+
+    def test_empty_grid_starts_no_pool_and_draws_nothing(self, monkeypatch, recording_pool):
+        def drawing(args):
+            raise AssertionError("an empty grid drew a block")
+
+        monkeypatch.setattr(cvconf.rates, "_mc_block", drawing)
+        template = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        assert sweep_distance(template, [], 4 * BLOCK_SIZE, seed=3, n_workers=4) == []
+        assert recording_pool.started == [] and recording_pool.mapped == []
+
+    @pytest.mark.parametrize("distances", [["a"], [0.0, None], 3.0])
+    def test_names_distances_that_are_not_numbers(self, distances, monkeypatch,
+                                                  recording_pool):
+        """Checked with the other arguments, before any pool starts."""
+        template = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="distances must be real numbers"):
+            sweep_distance(template, distances, 2 * BLOCK_SIZE, seed=3, n_workers=2)
+        assert recording_pool.started == []
+
+    def test_grid_params_share_sigma(self):
+        grid = [ProtocolParams(tau=(1.0, 1.0, 1.0)),
+                ProtocolParams(tau=(1.0, 1.0, 1.0), sigma=(2.0, 1.0, 1.0))]
+        with pytest.raises(ValueError, match="share sigma"):
+            cvconf.rates._estimate_each(grid, 64, 0, 1)
 
     def test_zero_distance_has_largest_rate(self):
         template = ProtocolParams(tau=(1.0, 1.0, 1.0))

@@ -142,9 +142,9 @@ def test_one_node_loop():
 
 def test_outcome_draw_is_written_once():
     """A normal draw around the outcome mean, a function that both draws
-    ``.normal`` and names ``mean_coefficients``, is ``protocol._draw_outcomes``
-    alone, so what the Monte-Carlo block and both oracle suites draw is the
-    draw side of the likelihood beside it."""
+    ``.normal`` or ``.standard_normal`` and names ``mean_coefficients``, is
+    ``protocol._draw_outcomes`` alone, so what the Monte-Carlo block and both
+    oracle suites draw is the draw side of the likelihood beside it."""
     drawers, callers = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -154,13 +154,42 @@ def test_outcome_draw_is_written_once():
             nodes = list(ast.walk(top))
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
             if "mean_coefficients" in names and any(
-                    isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "normal"
+                    isinstance(node, ast.Call) and
+                    getattr(node.func, "attr", None) in ("normal", "standard_normal")
                     for node in nodes):
                 drawers.add(f"{path.stem}.{top.name}")
             if "_draw_outcomes" in names:
                 callers.add(f"{path.stem}.{top.name}")
     assert drawers == {"protocol._draw_outcomes"}
     assert {"rates._mc_block", "cli._pipeline_check", "cli._spectrum_check"} <= callers
+
+
+# Method and function names of numpy's axis reductions.
+_REDUCTIONS = {"sum", "prod", "max", "min", "any", "all", "mean", "amax", "amin"}
+
+
+def test_every_row_functions_reduce_no_axis():
+    """The functions that run on every Monte-Carlo row reduce over no axis:
+    over a short trailing axis numpy runs one inner loop per row, 9-30x the
+    cost of the same sum written over columns (``inference._row_sum``).  No
+    reduction method or function is called in them, nor a ufunc's
+    ``.reduce`` (``functools.reduce`` folds whole columns and is allowed)."""
+    every_row = {"inference": {"posterior_table_batch", "_mi_with_bound"},
+                 "holevo": {"_own_tap_holevo_with_bound", "_entropy_with_bound"},
+                 "rates": {"_mc_block"}}
+    seen, found = set(), []
+    for stem, names in every_row.items():
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if not (isinstance(top, ast.FunctionDef) and top.name in names):
+                continue
+            seen.add(top.name)
+            found += [f"{stem}.{top.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and (node.func.attr in _REDUCTIONS or node.func.attr == "reduce"
+                           and getattr(node.func.value, "id", None) != "functools")]
+    assert seen == set().union(*every_row.values())
+    assert found == []
 
 
 def test_one_row_evaluation():
