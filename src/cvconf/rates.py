@@ -90,10 +90,23 @@ _WIDE = 3.0
 _LOG_WIDE_RATIO_SLOPE = (1.0 - 1.0 / _WIDE ** 2) / 2.0
 _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 
-# Rows per tile of the node loop _node_rates.  Bounds the rate core's
-# (n, 8, 8) density matrices and their temporaries to a few MB whatever
-# the batch; each row's result does not depend on it.
-_TILE = 1 << 12
+# Rows per tile of the node loop _node_rates; each row's result does not
+# depend on it.  The screen leaves the spectra 2-8% of a tile's rows, so much
+# of a tile's time is what one _rate_terms call costs whatever its rows (0.37
+# ms for 16 rows against 2.9 ms for 4096 at 2 km), and the tile sets the calls
+# per batch.  Its memory is the every-row terms and the live rows' (n, 8, 8)
+# matrices; 8192 is the largest power of two that keeps certified_rates on
+# one 2 km block under 16 MiB.  CPU-s of _mc_block on 2 blocks of the 0-7 km
+# trace grid and of one quadrature round (16 nodes at 0 and 2 km), medians of
+# 15 alternating timings, one BLAS thread; tracemalloc peaks of
+# certified_rates on one 2 km block of mixture draws and of _mc_block on one
+# block of that grid:
+#
+#      tile   2 blocks   quadrature   certified_rates   _mc_block
+#      4096     0.68        0.18          6.9 MB          7.8 MB
+#      8192     0.61        0.17         12.8 MB          8.4 MB
+#     16384     0.58        0.16         24.5 MB         11.1 MB
+_TILE = 1 << 13
 
 # One screened row in this many gets spectra in the Monte-Carlo block, for
 # the raw column's correction (:func:`_node_rates`).  Divides _TILE.  Chosen
@@ -178,14 +191,19 @@ def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
     ``chi_low`` are None).  Otherwise every row gets chi(A; E_A) and the
     screen's verdict (:func:`_screened`), and the live rows are those the
     screen leaves and those the slice ``spectra`` selects whatever the
-    screen.  Each row's values are its own, whatever the batch.
+    screen.  Where A's own deficit is 0 on every row (0 km, or A lossless),
+    chi(A; E_A) and its bound are the closed form's exact 0 there, not
+    computed.  Each row's values are its own, whatever the batch.
     """
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
     deficits = overlap_deficits_batch(mags, params)
     if spectra is None:
         screened, chi_low, live = None, None, slice(None)
     else:
-        chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
+        if deficits[:, 0].any():
+            chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
+        else:
+            chi_low = chi_low_err = np.zeros(len(mi))
         screened = _screened(mi, mi_err, chi_low, chi_low_err)
         live = ~screened
         live[spectra] = True
@@ -345,11 +363,13 @@ def _mc_block(args) -> list[tuple[float, float, float, float]]:
     wide = rng.integers(0, 2, size=count) == 1
     signs = 2.0 * rng.integers(0, 2, size=(count, 3)) - 1.0
     z = np.abs(rng.normal(0.0, 1.0, size=(count, 3))) * np.where(wide, _WIDE, 1.0)[:, None]
-    mags = z * np.asarray(grid[0].sigma)
-    outcomes = _draw_outcomes(rng, signs, mags, grid)
+    del wide
     # p/q = 2 / (1 + q_wide/p) with log(q_wide/p) = slope*|z|^2 + offset.
-    log_ratio = _LOG_WIDE_RATIO_SLOPE * _row_sum(z * z) + _LOG_WIDE_RATIO_OFFSET
-    weight = 2.0 * np.exp(-np.logaddexp(0.0, log_ratio))
+    weight = 2.0 * np.exp(-np.logaddexp(
+        0.0, _LOG_WIDE_RATIO_SLOPE * _row_sum(z * z) + _LOG_WIDE_RATIO_OFFSET))
+    mags = z
+    mags *= np.asarray(grid[0].sigma)  # in place: z is spent once the weight is formed
+    outcomes = _draw_outcomes(rng, signs, mags, grid)
 
     return [_weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE), weight.__getitem__)
             for params, gamma in zip(grid, outcomes)]

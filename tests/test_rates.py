@@ -426,7 +426,7 @@ class TestCertifiedDecision:
         assert np.array_equal(rate_ps, np.where(whole > err, whole, 0.0))
 
     def test_peak_memory_is_bounded_by_a_tile(self):
-        """One 2 km sample block traces ~6 MB in tiles, ~76 MB as one batch."""
+        """One 2 km sample block traces ~13 MB in tiles, ~76 MB as one batch."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
         mags, gamma = _mixture_draws(params, BLOCK_SIZE, seed=64)
         tracemalloc.start()
@@ -436,6 +436,19 @@ class TestCertifiedDecision:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_sampler_block_peak_memory(self):
+        """One block over the sweep's 0-7 km grid traces 8.4 MB: the block
+        drops its draws' spent copies before the node loop.  Keeping them
+        traced 10.0 MB at 4096-row tiles and 10.8 MB at 8192."""
+        grid = [ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(float(d)) for d in range(8)]
+        tracemalloc.start()
+        try:
+            _mc_block((5, 0, BLOCK_SIZE, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.2e6
 
     def test_no_dust_beyond_the_positivity_boundary(self):
         """Floating-point noise once gave 2.78e-14 +- 1.6e-15 here; every
@@ -537,7 +550,10 @@ class TestScreen:
         chi_low, chi_low_err = _own_tap_holevo_with_bound(
             tables, overlap_deficits_batch(mags, params), rel_err)
         assert np.all(chi_low <= chi + chi_low_err + err)
-        assert np.median(chi_low / chi) > 0.5  # close enough to screen most draws
+        # chi is exactly 0 only where A's sign is near-certain (p(A = -) ~ 1e-18).
+        positive = chi > 0.0
+        assert positive.mean() > 0.99
+        assert np.median(chi_low[positive] / chi[positive]) > 0.5  # close enough to screen most draws
 
     @pytest.mark.parametrize("convention, distance", [
         ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
@@ -749,6 +765,43 @@ class TestRawColumn:
         assert terms.screened[::_SUBSAMPLE].any() and terms.screened.any()
         assert not terms.chi_low.any()
         assert np.array_equal(rate, terms.mi)
+
+
+class TestLosslessOwnTap:
+    """Where A's own deficit is 0 on every row of a tile, the node loop takes
+    chi(A; E_A) = (0, 0), the closed form's value there, without computing it."""
+
+    @staticmethod
+    def columns(mags, gamma, params, stride):
+        """(rate, rate_ps) of the node loop at ``stride`` from the closed form
+        computed on every row and the full spectra."""
+        mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
+        screened = _screened(mi, mi_err, chi_low, chi_low_err)
+        terms = _rate_terms(mags, gamma, params)
+        full = terms.mi - terms.chi
+        rate = np.where(screened, mi - chi_low, full)
+        sampled = screened & (np.arange(len(gamma)) % stride == 0)
+        rate[sampled] = full[sampled] + (stride - 1) * (chi_low - terms.chi)[sampled]
+        return rate, np.where(full > terms.err, full, 0.0)
+
+    @pytest.mark.parametrize("tau", [(1.0, 1.0, 1.0), (1.0, 0.5, 0.5)])
+    def test_node_loop_never_computes_it(self, tau, monkeypatch):
+        """At tau = (1, 0.5, 0.5) only A is lossless: chi is not 0."""
+        params = ProtocolParams(tau=tau)
+        mags, gamma = _mixture_draws(params, _TILE + 37, seed=74)
+        want = {stride: self.columns(mags, gamma, params, stride) for stride in (1, _SUBSAMPLE)}
+        assert _screen(mags, gamma, params)[::_SUBSAMPLE].any()  # some rows take the correction
+        assert _rate_terms(mags, gamma, params).chi.any() == (tau[1] < 1.0)
+
+        def raising(*args):
+            raise AssertionError("chi(A; E_A) computed where A is lossless")
+
+        monkeypatch.setattr(cvconf.rates, "_own_tap_holevo_with_bound", raising)
+        for stride, (rate, rate_ps) in want.items():
+            got = _node_rates(mags, gamma, params, stride)
+            assert got[0].tobytes() == rate.tobytes()
+            assert got[1].tobytes() == rate_ps.tobytes()
+        assert quadrature_cross_check(params, nodes_per_axis=8).value > 0.0
 
 
 class TestOutcomeMirror:
