@@ -56,7 +56,7 @@ class ConfigError(ValueError):
     """A malformed configuration value; the message names the key."""
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
     """A comma list; ``validate`` checks its length."""
     return tuple(float(p) for p in text.split(",") if p.strip())
 
@@ -77,9 +77,9 @@ class RunConfig:
     d_max: float = _key(7.0, float, "last distance in km")
     d_step: float = _key(1.0, float, "grid step in km")
     distances: tuple[float, ...] | None = _key(
-        None, _floats, "explicit comma-separated distances, overrides the grid")
+        None, _float_list, "explicit comma-separated distances, overrides the grid")
     sigma: tuple[float, float, float] = _key(
-        (1.0, 1.0, 1.0), _floats, "modulation standard deviations, comma triple")
+        (1.0, 1.0, 1.0), _float_list, "modulation standard deviations, comma triple")
     atten_db_km: float = _key(0.2, float, "fibre attenuation in dB/km (default 0.2)")
     convention: str = _key(
         "trace", str, "overlap convention for the Holevo bound: trace or amplitude")
@@ -89,7 +89,7 @@ class RunConfig:
     format: str = _key("csv", str, "output format: csv or json")
     workers: int = _key(1, int, "parallel worker processes")
     mags: tuple[float, float, float] | None = _key(
-        None, _floats, "announced magnitudes for point mode, comma triple")
+        None, _float_list, "announced magnitudes for point mode, comma triple")
     gamma: float = _key(0.0, float, "relay outcome for point mode")
 
     def validate(self) -> None:
@@ -130,15 +130,18 @@ class RunConfig:
             raise ConfigError(f"convention: must be trace or amplitude, got {self.convention!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.format!r}")
+        if self.out == "":
+            raise ConfigError("out: must be a path, got ''")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
         # The farthest distance has the smallest transmissivity; one that
-        # underflows to 0 is named here rather than as a bad tau later.
+        # underflows to 0 is named here rather than as a bad tau later, with
+        # the attenuation that sets it too.
         key = "d_max" if self.distances is None else "distances"
         try:
             self.params_at(max(self.distance_grid()))
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+            raise ConfigError(f"{key} and atten_db_km: {exc}") from None
         if self.mags is not None and (len(self.mags) != 3 or not all(
                 0 <= m < math.inf for m in self.mags)):
             raise ConfigError("mags: must be three finite non-negative values")
@@ -195,7 +198,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge flag text over config-file text, parse it, and fill in defaults."""
     keys = _keys()
     texts = load_config_file(args.config) if args.config is not None else {}
-    texts.update((key, text) for key, text in vars(args).items()
+    # argparse gives the flag value "--" as []; it is parsed as the text it was.
+    texts.update((key, "--" if text == [] else text) for key, text in vars(args).items()
                  if key in keys and text is not None)
     values = {}
     for key, text in texts.items():
@@ -314,17 +318,6 @@ def _pipeline_check(rng: np.random.Generator) -> tuple[float, float, float, floa
             float(np.min(symplectic_eigenvalues(eve.cov))))
 
 
-def _validate_pipeline(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
-    """Phase-space pipeline against the outcome likelihood and the tap
-    exponents; returns (passed, total)."""
-    passed = 0
-    for _ in range(n_draws):
-        rel, cov_dev, mean_dev, min_nu = _pipeline_check(rng)
-        passed += (rel <= 1e-10 and cov_dev <= 1e-12 and mean_dev <= 1e-12
-                   and min_nu >= 1.0 - 1e-9)
-    return passed, n_draws
-
-
 def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, float]:
     """One random announcement's constructed density matrix against the Gram oracle.
 
@@ -345,21 +338,32 @@ def _spectrum_check(rng: np.random.Generator, convention: str) -> tuple[float, f
             abs(von_neumann_entropy(rho) - gram_oracle_entropy(table.probs, overlaps)))
 
 
-def _validate_spectrum(rng: np.random.Generator, n_draws: int) -> tuple[int, int]:
-    """Spectrum checks, the two conventions in turn; returns (passed, total)."""
-    passed = 0
-    for k in range(n_draws):
-        eig_dev, ent_dev = _spectrum_check(rng, ("trace", "amplitude")[k % 2])
-        passed += eig_dev <= 1e-10 and ent_dev <= 1e-9
-    return passed, n_draws
+# The oracle suites, in the order validate mode runs them.  Each is one
+# draw's check, given the generator and the draw's index, beside the rule
+# that passes what it returns; the spectrum suite alternates the conventions.
+_SUITES = {
+    "pipeline oracle": (
+        lambda rng, k: _pipeline_check(rng),
+        lambda rel, cov_dev, mean_dev, min_nu: (
+            rel <= 1e-10 and cov_dev <= 1e-12 and mean_dev <= 1e-12 and min_nu >= 1.0 - 1e-9)),
+    "spectrum oracle": (
+        lambda rng, k: _spectrum_check(rng, ("trace", "amplitude")[k % 2]),
+        lambda eig_dev, ent_dev: eig_dev <= 1e-10 and ent_dev <= 1e-9),
+}
+
+
+def _run_suite(rng: np.random.Generator, name: str, n_draws: int) -> tuple[int, int]:
+    """n_draws draws of suite ``name``'s check, counted where its pass rule
+    accepts them; returns (passed, total)."""
+    check, passes = _SUITES[name]
+    return sum(bool(passes(*check(rng, k))) for k in range(n_draws)), n_draws
 
 
 def _run_validate(config: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(config.seed)
     lines, failures = [], 0
-    for name, suite in (("pipeline oracle", _validate_pipeline),
-                        ("spectrum oracle", _validate_spectrum)):
-        passed, total = suite(rng, 1000)
+    for name in _SUITES:
+        passed, total = _run_suite(rng, name, 1000)
         lines.append(f"{name}: {passed}/{total} passed\n")
         failures += total - passed
     lines.append("validation OK\n" if failures == 0 else

@@ -77,7 +77,8 @@ __all__ = [
 
 # Samples per randomness block.  Part of the reproducibility contract:
 # block b is generated from Philox key (seed, b), so changing this value
-# changes the sample stream (the worker count never does).
+# changes the sample stream (the worker count never does).  It is also the
+# quadrature's chunk: grid points built, evaluated and summed at a time.
 BLOCK_SIZE = 1 << 16
 
 # Largest sample count per estimate: 2**18 blocks, so the block task list
@@ -124,11 +125,9 @@ _TILE = 1 << 13
 # and grows the raw variance per sample 1.1-1.4x over 32's.
 _SUBSAMPLE = 32
 
-# Gauss-Legendre points per quadrature panel, grid points per chunk of the
-# quadrature (bounds the chunk's points, rates and summed terms; _TILE
-# bounds the core), and the most grid points one quadrature evaluates.
+# Gauss-Legendre points per quadrature panel, and the most grid points one
+# quadrature evaluates.
 _PANEL_DEGREE = 8
-_QUAD_CHUNK = 1 << 17
 _MAX_QUAD_POINTS = 1 << 26
 
 
@@ -349,9 +348,10 @@ def _screened(mi, mi_err, chi_low, chi_low_err) -> np.ndarray:
     return mi - chi_low + chi_low_err <= mi_err / 2.0
 
 
-def _mc_block(args) -> list[tuple[float, float, float, float]]:
+def _mc_block(args) -> np.ndarray:
     """Weighted sums of the rate and its post-selected part over one block,
-    one 4-tuple per params of the grid, in grid order.
+    shape (params, column, moment): the :func:`_weighted_sums` of each
+    params of the grid, in grid order.
 
     The block's signs, magnitudes, weights and standard normals are drawn
     once; each params' outcomes are its own mean plus those normals
@@ -371,20 +371,21 @@ def _mc_block(args) -> list[tuple[float, float, float, float]]:
     mags *= np.asarray(grid[0].sigma)  # in place: z is spent once the weight is formed
     outcomes = _draw_outcomes(rng, signs, mags, grid)
 
-    return [_weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE), weight.__getitem__)
-            for params, gamma in zip(grid, outcomes)]
+    return np.array([_weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE),
+                                    weight.__getitem__)
+                     for params, gamma in zip(grid, outcomes)])
 
 
-def _weighted_sums(columns, weigh) -> tuple[float, ...]:
-    """Sums of w*r and (w*r)**2 for each rate column r, over the rows where r
-    is non-zero alone (the others add nothing): w = weigh(rows) is formed on
-    those rows only."""
-    sums = []
-    for rate in columns:
+def _weighted_sums(columns, weigh) -> np.ndarray:
+    """Sums of w*r and (w*r)**2 for each rate column r, shape (column, moment),
+    over the rows where r is non-zero alone (the others add nothing): w =
+    weigh(rows) is formed on those rows only."""
+    sums = np.empty((len(columns), 2))
+    for column_sums, rate in zip(sums, columns):
         rows = np.flatnonzero(rate)
         terms = weigh(rows) * rate[rows]
-        sums += [float(terms.sum()), float((terms * terms).sum())]
-    return tuple(sums)
+        column_sums[:] = terms.sum(), (terms * terms).sum()
+    return sums
 
 
 def _estimate_from_sums(total: float, total_sq: float, n: int) -> RateEstimate:
@@ -476,11 +477,14 @@ def _estimate_each(grid, n_samples: int, seed: int,
     of the grid (:func:`_mc_block`), so the block is drawn once for the
     whole grid.  One pool of min(n_workers, blocks, CPUs) processes runs the
     tasks when that is > 1; an empty grid starts none and draws nothing.
-    Each params' sums are then reduced over the blocks in block order.
+    The blocks' sums are reduced once, over the stacked blocks in block
+    order, which adds them left to right: the bits of a running sum.
     """
     if any(params.sigma != grid[0].sigma for params in grid):
         raise ValueError("the params of one Monte-Carlo grid must share sigma")
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE if grid else 0
+    if not grid:
+        return []
+    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     tasks = [(seed, b, min(BLOCK_SIZE, n_samples - b * BLOCK_SIZE), grid)
              for b in range(n_blocks)]
     n_processes = min(n_workers, n_blocks, os.cpu_count() or 1)
@@ -490,13 +494,8 @@ def _estimate_each(grid, n_samples: int, seed: int,
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_processes))
             run_blocks = functools.partial(pool.map, chunksize=1)
         block_sums = list(run_blocks(_mc_block, tasks))
-    estimates = []
-    for index in range(len(grid)):
-        # Fixed-order reduction over blocks.
-        sums = np.sum(np.asarray([block[index] for block in block_sums], dtype=float), axis=0)
-        estimates.append((_estimate_from_sums(sums[0], sums[1], n_samples),
-                          _estimate_from_sums(sums[2], sums[3], n_samples)))
-    return estimates
+    return [(_estimate_from_sums(*raw, n_samples), _estimate_from_sums(*post, n_samples))
+            for raw, post in np.sum(np.asarray(block_sums), axis=0)]
 
 
 def _rule_size(n_nodes: int) -> int:
@@ -585,10 +584,11 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     g_nodes, g_half_weights = _composite_gauss_legendre(g_hi, g_half_req)
     axes = mag_axes + [(g_nodes, 2.0 * g_half_weights)]
 
-    # Row-major (mag_A, mag_B, mag_C, outcome) grid, built one chunk at a time.
+    # Row-major (mag_A, mag_B, mag_C, outcome) grid, built one chunk of
+    # BLOCK_SIZE points at a time.
     total = 0.0
-    for start in range(0, n_points, _QUAD_CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, n_points)), shape)
+    for start in range(0, n_points, BLOCK_SIZE):
+        index = np.unravel_index(np.arange(start, min(start + BLOCK_SIZE, n_points)), shape)
         points = np.stack([nodes[i] for (nodes, _), i in zip(axes, index)], axis=1)
         mags, gamma = points[:, :3], points[:, 3]
 
@@ -598,7 +598,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
             return node_weights * outcome * mag_density
 
         _, rate_ps = _node_rates(mags, gamma, params, stride=None)
-        total += _weighted_sums([rate_ps], weigh)[0]
+        total += float(_weighted_sums([rate_ps], weigh)[0, 0])
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 
 

@@ -13,8 +13,8 @@ import cvconf.cli
 import cvconf.holevo
 import cvconf.inference
 import cvconf.rates
-from cvconf.cli import CSV_HEADER, ConfigError, RunConfig, _pipeline_check, \
-    _validate_pipeline, _validate_spectrum, build_config, main, make_parser
+from cvconf.cli import CSV_HEADER, ConfigError, RunConfig, _pipeline_check, _run_suite, \
+    build_config, main, make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 KEYS = [key.name for key in fields(RunConfig)]
@@ -376,17 +376,17 @@ class TestValidateMode:
         monkeypatch.setattr(cvconf.cli, "eve_conditional_means", nan_in_mode_2)
         _, _, mean_dev, _ = _pipeline_check(np.random.default_rng(0))
         assert not mean_dev <= 1e-12  # criterion 5's per-draw assert fails
-        assert _validate_pipeline(np.random.default_rng(0), 3) == (0, 3)
+        assert _run_suite(np.random.default_rng(0), "pipeline oracle", 3) == (0, 3)
 
     def test_shifted_gram_spectrum_fails_the_spectrum_check(self, monkeypatch):
         exact = cvconf.cli.gram_spectrum
         monkeypatch.setattr(cvconf.cli, "gram_spectrum", lambda w, x: exact(w, x) + 1e-9)
-        assert _validate_spectrum(np.random.default_rng(0), 3) == (0, 3)
+        assert _run_suite(np.random.default_rng(0), "spectrum oracle", 3) == (0, 3)
 
     def test_shifted_gram_entropy_fails_the_spectrum_check(self, monkeypatch):
         exact = cvconf.cli.gram_oracle_entropy
         monkeypatch.setattr(cvconf.cli, "gram_oracle_entropy", lambda w, x: exact(w, x) + 1e-8)
-        assert _validate_spectrum(np.random.default_rng(0), 3) == (0, 3)
+        assert _run_suite(np.random.default_rng(0), "spectrum oracle", 3) == (0, 3)
 
     def test_spectrum_suite_alternates_conventions(self, monkeypatch):
         seen = []
@@ -396,5 +396,5 @@ class TestValidateMode:
             return 0.0, 0.0
 
         monkeypatch.setattr(cvconf.cli, "_spectrum_check", record)
-        assert _validate_spectrum(np.random.default_rng(0), 4) == (4, 4)
+        assert _run_suite(np.random.default_rng(0), "spectrum oracle", 4) == (4, 4)
         assert seen == ["trace", "amplitude", "trace", "amplitude"]

@@ -450,6 +450,19 @@ class TestCertifiedDecision:
             tracemalloc.stop()
         assert peak < 10.2e6
 
+    def test_quadrature_peak_memory_is_bounded_by_a_block(self):
+        """One 16-node round at 0 km traces 9.1 MiB in chunks of BLOCK_SIZE
+        grid points; chunks of 2**17 traced 17.2 MiB."""
+        params = ProtocolParams(tau=(1.0, 1.0, 1.0))
+        quadrature_cross_check(params, nodes_per_axis=8)  # warm-up
+        tracemalloc.start()
+        try:
+            quadrature_cross_check(params, nodes_per_axis=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_no_dust_beyond_the_positivity_boundary(self):
         """Floating-point noise once gave 2.78e-14 +- 1.6e-15 here; every
         announcement at 6 km has an exactly negative rate."""
@@ -679,7 +692,8 @@ class TestScreen:
 
 def _block_draws(params, count, monkeypatch, seed=11, block=3):
     """The rows, outcomes and likelihood-ratio weights of one sampler block
-    (Philox key (seed, block)), with the block's own estimate's sums."""
+    (Philox key (seed, block)), with the block's own estimate's sums, shape
+    (column, moment)."""
     record = {}
     node_rates = cvconf.rates._node_rates
     weighted_sums = cvconf.rates._weighted_sums
@@ -695,8 +709,9 @@ def _block_draws(params, count, monkeypatch, seed=11, block=3):
     with monkeypatch.context() as patch:
         patch.setattr(cvconf.rates, "_node_rates", recording_rates)
         patch.setattr(cvconf.rates, "_weighted_sums", recording_sums)
-        [sums] = _mc_block((seed, block, count, [params]))
-    return record, sums
+        block_sums = _mc_block((seed, block, count, [params]))
+    assert block_sums.shape == (1, 2, 2)
+    return record, block_sums[0]
 
 
 class TestRawColumn:
@@ -748,7 +763,7 @@ class TestRawColumn:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         record, sums = _block_draws(params, BLOCK_SIZE, monkeypatch, seed=23, block=0)
-        raw = cvconf.rates._estimate_from_sums(sums[0], sums[1], BLOCK_SIZE)
+        raw = cvconf.rates._estimate_from_sums(sums[0, 0], sums[0, 1], BLOCK_SIZE)
         assert raw == estimate_rates_mc(params, BLOCK_SIZE, seed=23)[0]
         full = certified_rates(record["mags"], record["gamma"], params)[0]
         full_mean = float((record["weight"] * full).sum()) / BLOCK_SIZE
@@ -834,7 +849,9 @@ class TestQuadratureCrossCheck:
     def test_matches_full_outcome_rule(self, distance, want):
         """Values of the full symmetric outcome rule (16 nodes, trace) that
         the mirrored half rule reproduces, and the half rule's own bits,
-        which any change to the grid or its chunking must keep."""
+        which any change to the grid must keep.  Summed in chunks of
+        BLOCK_SIZE points, the 0 km value is 0.01982091575375071, 1 ulp above
+        its sum in chunks of 2**17 (0.019820915753750706)."""
         p = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
         quad = quadrature_cross_check(p, nodes_per_axis=16)
         assert quad.n_samples == 393_216
@@ -842,7 +859,7 @@ class TestQuadratureCrossCheck:
             assert quad.value == 0.0
         else:
             assert quad.value == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert quad.value == {0.0: 0.019820915753750706, 2.0: 1.3443164922861686e-10,
+        assert quad.value == {0.0: 0.01982091575375071, 2.0: 1.3443164922861686e-10,
                               4.0: 0.0}[distance]
 
     def test_evaluates_half_the_rule(self, monkeypatch):

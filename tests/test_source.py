@@ -122,22 +122,49 @@ def test_tap_model_is_written_once():
 def test_one_node_loop():
     """One tile loop, ``range(0, n, _TILE)`` in ``rates._node_rates``,
     evaluates the nodes of both estimators, and both the Monte-Carlo block
-    and the quadrature reduce them through ``rates._weighted_sums``."""
+    and the quadrature reduce them through ``rates._weighted_sums``.  The
+    quadrature walks its grid in chunks of the Monte-Carlo's ``BLOCK_SIZE``
+    and has no chunk size of its own."""
     loops, callers, names = [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range" and \
-                    len(node.args) == 3 and getattr(node.args[0], "value", None) == 0 and \
-                    getattr(node.args[2], "id", None) == "_TILE":
-                loops.append(f"{path.stem}.{_enclosing(tree, node)}")
+                    len(node.args) == 3 and getattr(node.args[0], "value", None) == 0:
+                loops.append((f"{path.stem}.{_enclosing(tree, node)}",
+                              getattr(node.args[2], "id", None)))
             if isinstance(node, ast.Name) and node.id == "_weighted_sums":
                 callers.add(f"{path.stem}.{_enclosing(tree, node)}")
             if isinstance(node, (ast.FunctionDef, ast.Name)):
                 names.add(getattr(node, "name", None) or node.id)
-    assert loops == ["rates._node_rates"]
+    assert [where for where, step in loops if step == "_TILE"] == ["rates._node_rates"]
+    assert ("rates.quadrature_cross_check", "BLOCK_SIZE") in loops
+    assert "_QUAD_CHUNK" not in names
     assert "_post_selected_rates" not in names
     assert {"rates._mc_block", "rates.quadrature_cross_check"} <= callers
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_block_sums_are_one_array_reduced_once():
+    """``rates._mc_block`` returns one array of its grid's sums, and
+    ``rates._estimate_each`` reduces the stacked blocks with one ``np.sum``
+    over axis 0, in block order, and indexes no per-distance sums: its only
+    subscript is the grid's first params."""
+    tree = ast.parse((SRC / "rates.py").read_text(encoding="utf-8"))
+    returns = [node.value for node in ast.walk(_function(tree, "_mc_block"))
+               if isinstance(node, ast.Return)]
+    assert len(returns) == 1 and isinstance(returns[0], ast.Call)
+    assert ast.unparse(returns[0].func) == "np.array"
+    body = [node for statement in _function(tree, "_estimate_each").body
+            for node in ast.walk(statement)]
+    sums = [node for node in body if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "sum"]
+    assert [ast.unparse(node) for node in sums] == ["np.sum(np.asarray(block_sums), axis=0)"]
+    assert [ast.unparse(node) for node in body if isinstance(node, ast.Subscript)] == ["grid[0]"]
 
 
 def test_outcome_draw_is_written_once():
@@ -212,8 +239,7 @@ def test_monte_carlo_block_runs_the_node_loop():
     loop ``rates._node_rates`` at stride ``_SUBSAMPLE``, and never through the
     full-chi oracle ``certified_rates``."""
     tree = ast.parse((SRC / "rates.py").read_text(encoding="utf-8"))
-    block = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_mc_block")
+    block = _function(tree, "_mc_block")
     names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
     assert {"_node_rates", "_SUBSAMPLE"} <= names
     assert "certified_rates" not in names
