@@ -57,8 +57,8 @@ class ConfigError(ValueError):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    """A comma list; ``validate`` checks its length."""
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    """A comma list; ``validate`` checks its length.  An empty entry is not a number."""
+    return tuple(float(p) for p in text.split(","))
 
 
 def _key(default, parse, help_text: str):

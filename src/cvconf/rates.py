@@ -35,10 +35,9 @@ estimator.
 The node loop of both skips the spectra of rows that a closed-form lower
 bound chi(A; E_A) on chi(A) proves the certified rule cannot keep, so the
 post-selected part is bit for bit the full rule's.  The quadrature needs
-only that part.  The Monte-Carlo raw rate takes chi(A; E_A) in place of
-chi(A) on those rows, and corrects it from the spectra of one screened row
-in ``_SUBSAMPLE`` (the two-level case of multilevel Monte Carlo), so it
-stays unbiased while the spectra run on a few percent of the draws.
+only that part.  The Monte-Carlo raw column takes I - chi(A; E_A) on those
+rows, so it estimates an upper bound on the mean of I - chi, while the
+spectra run on a few percent of the draws.
 """
 
 from __future__ import annotations
@@ -104,26 +103,10 @@ _LOG_WIDE_RATIO_OFFSET = -3.0 * math.log(_WIDE)
 # block of that grid:
 #
 #      tile   2 blocks   quadrature   certified_rates   _mc_block
-#      4096     0.68        0.18          6.9 MB          7.8 MB
-#      8192     0.61        0.17         12.8 MB          8.4 MB
-#     16384     0.58        0.16         24.5 MB         11.1 MB
+#      4096     0.52        0.21          6.4 MB          7.8 MB
+#      8192     0.47        0.20         11.7 MB          8.4 MB
+#     16384     0.50        0.20         22.4 MB         11.1 MB
 _TILE = 1 << 13
-
-# One screened row in this many gets spectra in the Monte-Carlo block, for
-# the raw column's correction (:func:`_node_rates`).  Divides _TILE.  Chosen
-# by the raw column's standard error times sqrt(CPU-s) of one serial sweep of
-# trace 1, 2, 3 and 5 km at 2**17 samples: the SE's median over seeds 1-8,
-# the CPU-s median over 20 timings of the four distances together, one BLAS
-# thread (SE x sqrt(CPU-s) in units of 1e-4):
-#
-#     stride   CPU-s   1 km   2 km   3 km   5 km
-#       16     0.62    2.66   4.21   5.27   6.76
-#       32     0.48    2.62   4.02   4.89   6.08
-#       64     0.41    2.86   4.18   4.91   5.84
-#
-# 32 is the best out to 3 km, where R_PS is positive; 64 gains only beyond,
-# and grows the raw variance per sample 1.1-1.4x over 32's.
-_SUBSAMPLE = 32
 
 # Gauss-Legendre points per quadrature panel, and the most grid points one
 # quadrature evaluates.
@@ -148,7 +131,7 @@ class SweepPoint:
     distance_km: float
     tau: float
     estimate: RateEstimate         # post-selected rate
-    estimate_no_ps: RateEstimate   # raw (non-post-selected) rate
+    estimate_no_ps: RateEstimate   # upper bound on the raw (non-post-selected) rate
 
 
 def single_point_rate(mags, gamma: float, params: ProtocolParams) -> float:
@@ -172,43 +155,36 @@ def _single_point_terms(mags, gamma: float, params: ProtocolParams) -> tuple[flo
 class _RowTerms(NamedTuple):
     """The terms :func:`_rate_terms` gives a batch of rows."""
 
-    screened: np.ndarray | None  # rows the certified keep rule provably cannot keep
     mi: np.ndarray               # I(A:B) of every row
-    chi_low: np.ndarray | None   # chi(A; E_A) of every row
+    chi_low: np.ndarray | None   # chi(A; E_A) of every row, where the screen runs
     live: np.ndarray | slice     # the rows that get spectra
     chi: np.ndarray              # chi(A) of the live rows
     err: np.ndarray              # bound on |computed - exact| of I - chi, live rows
 
 
 def _rate_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
-                spectra: slice | None = None) -> _RowTerms:
+                screen: bool = False) -> _RowTerms:
     """The one per-row evaluation.
 
     Every row gets I(A:B).  chi(A) and the bound ``err`` on |computed -
-    exact| of I - chi are those of the rows ``live``.  With ``spectra``
-    None, every row is live and the screen does not run (``screened`` and
-    ``chi_low`` are None).  Otherwise every row gets chi(A; E_A) and the
-    screen's verdict (:func:`_screened`), and the live rows are those the
-    screen leaves and those the slice ``spectra`` selects whatever the
-    screen.  Where A's own deficit is 0 on every row (0 km, or A lossless),
+    exact| of I - chi are those of the rows ``live``.  Without ``screen``,
+    every row is live and ``chi_low`` is None.  With it, every row gets
+    chi(A; E_A), and the live rows are those the screen (:func:`_screened`)
+    leaves.  Where A's own deficit is 0 on every row (0 km, or A lossless),
     chi(A; E_A) and its bound are the closed form's exact 0 there, not
     computed.  Each row's values are its own, whatever the batch.
     """
     tables, rel_err, mi, mi_err = _information_terms(mags, gamma, params)
     deficits = overlap_deficits_batch(mags, params)
-    if spectra is None:
-        screened, chi_low, live = None, None, slice(None)
-    else:
+    chi_low, live = None, slice(None)
+    if screen:
         if deficits[:, 0].any():
             chi_low, chi_low_err = _own_tap_holevo_with_bound(tables, deficits, rel_err)
         else:
             chi_low = chi_low_err = np.zeros(len(mi))
-        screened = _screened(mi, mi_err, chi_low, chi_low_err)
-        live = ~screened
-        live[spectra] = True
+        live = ~_screened(mi, mi_err, chi_low, chi_low_err)
     chi, chi_err = _holevo_with_bound(tables[live], deficits[live], rel_err[live])
-    return _RowTerms(screened, mi, chi_low, live, chi,
-                     _rate_bound(mi[live], mi_err[live], chi, chi_err))
+    return _RowTerms(mi, chi_low, live, chi, _rate_bound(mi[live], mi_err[live], chi, chi_err))
 
 
 def _information_terms(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams
@@ -242,59 +218,44 @@ def certified_rates(mags: np.ndarray, gamma: np.ndarray,
     ``rate_ps`` equals ``rate`` where the computed rate exceeds its error
     bound, so the exact rate is positive, and 0 elsewhere: announcements
     whose sign floating point cannot settle are dropped.  The full-chi view
-    of :func:`_rate_terms`: the node loop :func:`_node_rates` with every row
-    given spectra, so ``rate`` is I - chi on every row, bit for bit.  Both
+    of :func:`_rate_terms`: the node loop :func:`_node_rates` without its
+    screen, so ``rate`` is I - chi on every row, bit for bit.  Both
     estimators spend chi on fewer rows; this is their oracle.
     """
-    return _node_rates(mags, gamma, params, stride=1)
+    return _node_rates(mags, gamma, params, screen=False)
 
 
 def _node_rates(mags: np.ndarray, gamma: np.ndarray, params: ProtocolParams,
-                stride: int | None) -> tuple[np.ndarray | None, np.ndarray]:
+                screen: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The raw and post-selected columns ``(rate, rate_ps)`` of n rows, in
     tiles of ``_TILE`` so the core's memory does not grow with n.
 
     Each tile is one call of :func:`_rate_terms`, whose values are those of
-    each row alone, and is screened: chi(A) runs on the rows
+    each row alone.  With ``screen``, chi(A) runs only on the rows
     :func:`_screened` leaves (1.9% of mixture draws at 2 km).  ``rate_ps``
     is the certified rule's on every row: a screened row gets 0, as the
-    full rule would give it.  With ``stride`` None there is no raw column
-    (``rate`` is None) and no other row gets spectra.  At stride k the
-    screened rows whose index is 0 mod k get spectra too (``_TILE`` is a
-    multiple of every stride used, so a tile's index agrees with the
-    batch's mod k), and the raw term of a row is
+    full rule would give it.  The raw term of a row is mi - chi where it
+    has spectra, and mi - chi_low on a screened row.
 
-    - unscreened: mi - chi, as in :func:`certified_rates`;
-    - screened with spectra: (mi - chi) + (k - 1) (chi_low - chi), that is
-      (mi - chi_low) + k (chi_low - chi), and mi - chi at k = 1;
-    - screened without: mi - chi_low.
-
-    The raw column is unbiased for the mean of mi - chi over iid rows: the
-    screen is a fixed function of each row and the subsample depends on
-    the index alone, so the correction k (chi_low - chi) on 1/k of the
-    screened rows has the mean of chi_low - chi over all of them.  This is
-    the two-level case of multilevel Monte Carlo (Giles, Acta Numerica 24,
-    2015), with chi_low as the cheap level.  That level runs on every row,
-    so it sums short rows over whole columns
-    (:func:`~cvconf.inference._row_sum`), and the stride balances the two
-    levels at their costs (``_SUBSAMPLE``).
+    Since chi(A; E_A) <= chi(A) (discarding E_B and E_C cannot raise
+    Holevo information), each raw term is at least the row's I - chi to
+    within the two terms' bounds, and the raw column's mean is an unbiased
+    estimate of an upper bound on the mean of I - chi.  Where rate_ps is
+    positive the row has spectra, so its raw term is the rate itself.
+    Without ``screen`` every row has spectra: the full-chi oracle
+    :func:`certified_rates`.
     """
-    n = len(gamma)
-    spectra = slice(0) if stride is None else slice(None, None, stride)
-    rate = None if stride is None else np.empty(n)
-    rate_ps = np.zeros(n)
-    for start in range(0, n, _TILE):
+    rate, rate_ps = np.empty(len(gamma)), np.zeros(len(gamma))
+    for start in range(0, len(gamma), _TILE):
         tile = slice(start, start + _TILE)
-        terms = _rate_terms(mags[tile], gamma[tile], params, spectra)
+        terms = _rate_terms(mags[tile], gamma[tile], params, screen)
         live = terms.live
         rate_live = terms.mi[live] - terms.chi
         # Kept where it exceeds its bound, so the exact rate is positive.
         rate_ps[tile][live] = np.where(rate_live > terms.err, rate_live, 0.0)
-        if rate is not None:
-            sampled = terms.screened[live]
-            rate_live[sampled] += (stride - 1) * (terms.chi_low[live][sampled] - terms.chi[sampled])
+        if screen:
             rate[tile] = terms.mi - terms.chi_low
-            rate[tile][live] = rate_live
+        rate[tile][live] = rate_live
     return rate, rate_ps
 
 
@@ -371,8 +332,7 @@ def _mc_block(args) -> np.ndarray:
     mags *= np.asarray(grid[0].sigma)  # in place: z is spent once the weight is formed
     outcomes = _draw_outcomes(rng, signs, mags, grid)
 
-    return np.array([_weighted_sums(_node_rates(mags, gamma, params, _SUBSAMPLE),
-                                    weight.__getitem__)
+    return np.array([_weighted_sums(_node_rates(mags, gamma, params), weight.__getitem__)
                      for params, gamma in zip(grid, outcomes)])
 
 
@@ -426,7 +386,7 @@ def _check_mc_arguments(n_samples, seed, n_workers) -> tuple[int, int, int]:
 
 def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
                       n_workers: int = 1) -> tuple[RateEstimate, RateEstimate]:
-    """Monte-Carlo estimates of the raw and post-selected rates of I(A:B) - chi(A).
+    """Monte-Carlo estimates of the raw rate's upper bound and the post-selected rate.
 
     :func:`_estimate_each` on a grid of one params: a sweep's point at a
     distance is this estimate at that distance, bit for bit.
@@ -447,23 +407,21 @@ def estimate_rates_mc(params: ProtocolParams, n_samples: int, seed: int = 0,
     Returns
     -------
     (RateEstimate, RateEstimate)
-        The raw rate and the post-selected rate, from the same samples.
-        The post-selected estimate is never negative, and is the certified
-        rule's on every sample; chi(A) runs only on the samples the screen
-        cannot settle (0.85-4.7% of them at 1-3 km).  The raw estimate is
-        unbiased for the mean of I - chi: chi(A; E_A) stands in for chi(A)
-        on the screened samples, and ``_SUBSAMPLE`` times their difference
-        is added on the screened samples whose index in their block is 0
-        mod ``_SUBSAMPLE`` (:func:`_node_rates`).  On one block each at
-        trace 1 and 2 km and amplitude 3 km, it lies within 0.3 SE of the
-        full-chi mean of the same samples.  Its standard error is pooled
-        over every sample as if they were iid, which makes it conservative:
-        the samples are iid only in groups of ``_SUBSAMPLE``, and the pooled
-        variance adds the spread between the two classes' means to the true
-        one.  At unit transmissivity chi and chi(A; E_A) are exactly 0, so
-        the raw estimate is the mean of I itself; the post-selected one
-        falls below it only by the dropped samples whose I lies within its
-        own error bound (3e-18 to 3e-17 at 2**17 samples, seeds 0-7).
+        An upper bound on the raw rate, and the post-selected rate, from
+        the same samples.  The post-selected estimate is never negative,
+        and is the certified rule's on every sample; chi(A) runs only on
+        the samples the screen cannot settle (0.85-4.7% of them at 1-3
+        km).  The raw estimate takes chi(A; E_A) <= chi(A) in place of
+        chi(A) on the screened samples (:func:`_node_rates`), so it is an
+        unbiased estimate of an upper bound on the mean of I - chi, with
+        the plain iid standard error.  The bound lies 0.006-0.008 bits
+        above the full-chi mean of the same samples at trace 1-7 km (two
+        blocks, seed 3); a post-selected rate above the bound is above the
+        raw rate too.  At unit transmissivity chi and chi(A; E_A) are
+        exactly 0, so the raw estimate is the mean of I itself; the
+        post-selected one falls below it only by the dropped samples whose
+        I lies within its own error bound (3e-18 to 3e-17 at 2**17 samples,
+        seeds 0-7).
     """
     return _estimate_each([params], *_check_mc_arguments(n_samples, seed, n_workers))[0]
 
@@ -536,9 +494,9 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
     the same, so still positive.  ``n_samples`` counts the nodes of the
     full symmetric rule.
 
-    The nodes go through the node loop :func:`_node_rates` without its raw
-    column, so no screened node gets spectra: chi(A; E_A) spares those of 97% of the
-    16-node grid at 2 km.  Node weights and joint density are formed on
+    The nodes go through the screened node loop :func:`_node_rates`, whose
+    raw column the quadrature does not read: chi(A; E_A) spares the spectra
+    of 97% of the 16-node grid at 2 km.  Node weights and joint density are formed on
     the kept nodes alone (0.3% of that grid); the values are bit for bit
     those of ``certified_rates`` on every node.
 
@@ -597,7 +555,7 @@ def quadrature_cross_check(params: ProtocolParams, nodes_per_axis: int = 24) -> 
             outcome, mag_density = _joint_density_factors(mags[rows], gamma[rows], params)
             return node_weights * outcome * mag_density
 
-        _, rate_ps = _node_rates(mags, gamma, params, stride=None)
+        _, rate_ps = _node_rates(mags, gamma, params)
         total += float(_weighted_sums([rate_ps], weigh)[0, 0])
     return RateEstimate(total, 0.0, 2 * n_points, "quadrature")
 

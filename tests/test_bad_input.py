@@ -2,12 +2,13 @@
 
 For each ``RunConfig`` key a numpy ``Generator`` draws texts from that key's
 pool of refused values: NaN, infinities, negatives, 0 where refused, 1e308
-and 1e-320 where refused, words, empty lists and the wrong arity.  Each text
-is given once as a flag and once as a config-file line, and must exit 2 with
-one line on stderr that names the key.  The runs are in point mode at the
-zero announcement, and the sweep and validate modes are replaced by a
-failure, so a text that a key fails to refuse runs no sweep and starts no
-pool.  The fixed cases after the pools are bad inputs mended earlier.
+and 1e-320 where refused, words, empty entries and lists, and the wrong
+arity.  Each text is given once as a flag and once as a config-file line,
+and must exit 2 with one line on stderr that names the key.  The runs are
+in point mode at the zero announcement, and the sweep and validate modes
+are replaced by a failure, so a text that a key fails to refuse runs no
+sweep and starts no pool.  The fixed cases after the pools are bad inputs
+mended earlier.
 """
 
 import re
@@ -82,9 +83,9 @@ POOLS = {
     "d_max": [NAN, INF, NEGATIVE, HUGE, WORD, EMPTY, PAIR],
     "d_step": [NAN, INF, NEGATIVE, ZERO, TINY, WORD, EMPTY, PAIR],
     "distances": [entry_of(NAN), entry_of(INF), entry_of(NEGATIVE), entry_of(HUGE),
-                  entry_of(WORD), EMPTY_LIST],
+                  entry_of(WORD), entry_of(EMPTY), EMPTY_LIST],
     "sigma": [entry_of(NAN, 3), entry_of(INF, 3), entry_of(NEGATIVE, 3), entry_of(ZERO, 3),
-              entry_of(WORD, 3), arity, EMPTY_LIST],
+              entry_of(WORD, 3), entry_of(EMPTY, 3), arity, EMPTY_LIST],
     "atten_db_km": [NAN, INF, NEGATIVE, HUGE, WORD, EMPTY, PAIR],
     "convention": [_one_of("", "Trace", "amp", "nan", "trace,amplitude")],
     "samples": [NAN, INF, NEGATIVE_INT, ZERO, HUGE, TINY, WORD, EMPTY, NON_INTEGER,
@@ -94,7 +95,7 @@ POOLS = {
     "format": [_one_of("", "CSV", "xml", "nan", "csv,json")],
     "workers": [NAN, INF, NEGATIVE_INT, ZERO, HUGE, TINY, WORD, EMPTY, NON_INTEGER],
     "mags": [entry_of(NAN, 3), entry_of(INF, 3), entry_of(NEGATIVE, 3), entry_of(HUGE, 3),
-             entry_of(WORD, 3), arity, EMPTY_LIST],
+             entry_of(WORD, 3), entry_of(EMPTY, 3), arity, EMPTY_LIST],
     "gamma": [NAN, INF, HUGE, WORD, EMPTY, PAIR],
 }
 
@@ -148,6 +149,8 @@ def test_key_refuses_its_pool_by_name(key, tmp_path, capsys, no_sweep):
     (["--atten-db-km=1e308"], "atten_db_km"),  # once named d_max alone
     (["--d-step=--"], "d_step"),            # argparse gives the text "--" as []
     (["--out="], "out"),                    # an empty path, once refused after the run
+    (["--distances=1,,2"], "distances"),    # an empty entry, once dropped
+    (["--sigma=1,1,1,"], "sigma"),          # a trailing comma, once dropped
 ])
 def test_fixed_cli_cases(argv, key, capsys, no_sweep):
     _assert_named([_flag(k, text) for k, text in BASE.items()] + argv, key, capsys)

@@ -309,29 +309,35 @@ class TestSweepMode:
         ("trace", [
             "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,trace",
-            "1,0.954992586021436,6.1149816295678222e-05,-0.078904384293917496,"
-            "5.5676521596494666e-06,0.00053568055714174449,65536,7,trace",
-            "2,0.91201083935590976,9.7050534170200348e-11,-0.1381720841930304,"
-            "4.1119804628305881e-11,0.00082248062296112984,65536,7,trace",
-            "3,0.8709635899560807,0,-0.18285387594793825,0,0.0010039553070655765,65536,7,trace",
+            "1,0.954992586021436,6.1149816295678222e-05,-0.073189547784318285,"
+            "5.5676521596494666e-06,0.00040180243935270584,65536,7,trace",
+            "2,0.91201083935590976,9.7050534170200348e-11,-0.13033875047526355,"
+            "4.1119804628305881e-11,0.00067261953146952101,65536,7,trace",
+            "3,0.8709635899560807,0,-0.17472036900636689,0,0.00087520385625577555,65536,7,trace",
         ]),
         ("amplitude", [
             "0,1,0.019510829313338182,0.019510829313338196,0.00020068774151702404,"
             "0.00020068774151702401,65536,7,amplitude",
-            "1,0.954992586021436,0.0011847767065997076,-0.03937711214269192,"
-            "4.0830178895145138e-05,0.0003221857552323581,65536,7,amplitude",
-            "2,0.91201083935590976,4.3869355149526469e-05,-0.078865424041978688,"
-            "4.3368336777342969e-06,0.00052666161382524713,65536,7,amplitude",
-            "3,0.8709635899560807,1.2471742777098215e-07,-0.11050526536706402,"
-            "3.2495056545613691e-08,0.00068079092064431037,65536,7,amplitude",
+            "1,0.954992586021436,0.0011847767065997076,-0.036093648603870238,"
+            "4.0830178895145138e-05,0.00023082954502450157,65536,7,amplitude",
+            "2,0.91201083935590976,4.3869355149526469e-05,-0.073333669021790115,"
+            "4.3368336777342969e-06,0.00040077322303947772,65536,7,amplitude",
+            "3,0.8709635899560807,1.2471742777098215e-07,-0.10382569032866115,"
+            "3.2495056545613691e-08,0.0005459421714088719,65536,7,amplitude",
         ]),
     ], ids=["trace", "amplitude"])
     def test_csv_output_is_frozen(self, convention, rows, capsys):
         """The Monte-Carlo sweep's exact bytes: a change to any bit of the
-        sampler, the rate core or the reduction shows here."""
+        sampler, the rate core or the reduction shows here, with the names
+        of the columns that moved."""
         code, out, _ = run_cli(["--mode", "sweep", "--d-max", "3", "--samples", "65536",
                                 "--seed", "7", "--convention", convention], capsys)
         assert code == 0
+        got = [line.split(",") for line in out.splitlines()]
+        want = [line.split(",") for line in [CSV_HEADER] + rows]
+        moved = [name for k, name in enumerate(want[0])
+                 if [row[k] for row in got] != [row[k] for row in want]]
+        assert moved == []
         assert out == "\n".join([CSV_HEADER] + rows) + "\n"
 
     def test_json_output(self, tmp_path, capsys):

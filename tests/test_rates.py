@@ -25,7 +25,6 @@ from cvconf.rates import (
     quadrature_cross_check,
     single_point_rate,
     sweep_distance,
-    _SUBSAMPLE,
     _TILE,
     _information_terms,
     _mc_block,
@@ -79,11 +78,9 @@ def _mixture_draws(params, n, seed):
 
 
 def _post_selected(mags, gamma, params):
-    """The post-selected column of the node loop as the quadrature runs it,
-    with spectra on the unscreened rows alone."""
-    rate, rate_ps = _node_rates(mags, gamma, params, stride=None)
-    assert rate is None
-    return rate_ps
+    """The post-selected column of the screened node loop, with spectra on
+    the unscreened rows alone."""
+    return _node_rates(mags, gamma, params)[1]
 
 
 def _screen(mags, gamma, params):
@@ -109,9 +106,9 @@ def _grid_points(params, nodes_per_axis):
     """The (magnitudes, outcomes) at which the quadrature evaluates its integrand."""
     chunks = []
 
-    def recording(mags, gamma, params, stride):
+    def recording(mags, gamma, params, screen=True):
         chunks.append((mags.copy(), gamma.copy()))
-        return None, np.zeros(len(gamma))
+        return np.zeros(len(gamma)), np.zeros(len(gamma))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cvconf.rates, "_node_rates", recording)
@@ -236,7 +233,7 @@ class TestEstimateRatesMc:
         p = ProtocolParams(tau=tuple(rng.uniform(0.4, 1.0, 3)))
         mags = np.abs(rng.normal(0, 1.0, size=(5_000, 3)))
         gamma = rng.normal(0, 2, 5_000)
-        _, mi, _, _, chi, _ = _rate_terms(mags, gamma, p)
+        mi, _, _, chi, _ = _rate_terms(mags, gamma, p)
         rate = mi - chi
         assert np.all(rate <= mi + 1e-12)
         assert np.all(mi <= 1.0)
@@ -400,7 +397,8 @@ class TestCertifiedDecision:
         assert np.all(negative[(screened & proved_negative)[picks]])
         undecided = (screened & ~proved_negative)[picks]
         assert np.all(rate_ps[picks][undecided] == 0.0)
-        assert np.all(below_ceiling[undecided])
+        # The raw column's bound rests on this ceiling on every screened row.
+        assert np.all(below_ceiling[screened[picks]])
 
     def test_certified_rates_keep_only_beyond_bound(self):
         p = ProtocolParams(tau=(0.9, 0.9, 0.9))
@@ -408,7 +406,7 @@ class TestCertifiedDecision:
         mags = np.abs(rng.normal(0.0, 2.0, size=(2_000, 3)))
         gamma = rng.normal(0.0, 2.0, 2_000)
         rate, rate_ps = certified_rates(mags, gamma, p)
-        _, mi, _, _, chi, err = _rate_terms(mags, gamma, p)
+        mi, _, _, chi, err = _rate_terms(mags, gamma, p)
         assert np.array_equal(rate, mi - chi)
         assert np.array_equal(rate_ps, np.where(rate > err, rate, 0.0))
         assert np.all(err > 0.0)
@@ -420,13 +418,13 @@ class TestCertifiedDecision:
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(distance)
         mags, gamma = _mixture_draws(params, 2 * _TILE + 37, seed=63)
         rate, rate_ps = certified_rates(mags, gamma, params)
-        _, mi, *_, chi, err = _rate_terms(mags, gamma, params)
+        mi, *_, chi, err = _rate_terms(mags, gamma, params)
         whole = mi - chi
         assert np.array_equal(rate, whole)
         assert np.array_equal(rate_ps, np.where(whole > err, whole, 0.0))
 
     def test_peak_memory_is_bounded_by_a_tile(self):
-        """One 2 km sample block traces ~13 MB in tiles, ~76 MB as one batch."""
+        """One 2 km sample block traces ~12 MB in tiles, ~76 MB as one batch."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0)).at_distance(2.0)
         mags, gamma = _mixture_draws(params, BLOCK_SIZE, seed=64)
         tracemalloc.start()
@@ -451,7 +449,7 @@ class TestCertifiedDecision:
         assert peak < 10.2e6
 
     def test_quadrature_peak_memory_is_bounded_by_a_block(self):
-        """One 16-node round at 0 km traces 9.1 MiB in chunks of BLOCK_SIZE
+        """One 16-node round at 0 km traces 9.6 MiB in chunks of BLOCK_SIZE
         grid points; chunks of 2**17 traced 17.2 MiB."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0))
         quadrature_cross_check(params, nodes_per_axis=8)  # warm-up
@@ -587,11 +585,11 @@ class TestScreen:
         shares = []
         node_rates = cvconf.rates._node_rates
 
-        def checking(mags, gamma, params, stride):
-            assert stride is None
-            rate, rate_ps = node_rates(mags, gamma, params, stride)
+        def checking(mags, gamma, params, screen=True):
+            assert screen
+            rate, rate_ps = node_rates(mags, gamma, params, screen)
             # The certified rule on every row, as certified_rates runs it.
-            assert np.array_equal(rate_ps, node_rates(mags, gamma, params, stride=1)[1])
+            assert np.array_equal(rate_ps, node_rates(mags, gamma, params, screen=False)[1])
             shares.append(_screen(mags, gamma, params).mean())
             return rate, rate_ps
 
@@ -652,8 +650,8 @@ class TestScreen:
         draws = []
         node_rates = cvconf.rates._node_rates
 
-        def recording(mags, gamma, params, stride):
-            rate, rate_ps = node_rates(mags, gamma, params, stride)
+        def recording(mags, gamma, params, screen=True):
+            rate, rate_ps = node_rates(mags, gamma, params, screen)
             draws.append((mags, gamma, rate_ps))
             return rate, rate_ps
 
@@ -698,9 +696,9 @@ def _block_draws(params, count, monkeypatch, seed=11, block=3):
     node_rates = cvconf.rates._node_rates
     weighted_sums = cvconf.rates._weighted_sums
 
-    def recording_rates(mags, gamma, params, stride):
-        record.update(mags=mags, gamma=gamma, stride=stride)
-        return node_rates(mags, gamma, params, stride)
+    def recording_rates(mags, gamma, params, screen=True):
+        record.update(mags=mags, gamma=gamma, screen=screen)
+        return node_rates(mags, gamma, params, screen)
 
     def recording_sums(columns, weigh):
         record["weight"] = weigh(np.arange(len(record["gamma"])))
@@ -715,9 +713,9 @@ def _block_draws(params, count, monkeypatch, seed=11, block=3):
 
 
 class TestRawColumn:
-    """The Monte-Carlo raw column: I - chi on the unscreened rows, I -
-    chi(A; E_A) on the screened ones, and a correction _SUBSAMPLE * (chi(A;
-    E_A) - chi) on the screened rows whose index is 0 mod _SUBSAMPLE."""
+    """The Monte-Carlo raw column: I - chi on the unscreened rows and I -
+    chi(A; E_A) on the screened ones, so its mean estimates an upper bound
+    on the mean of I - chi."""
 
     @pytest.mark.parametrize("convention, distance", [
         ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
@@ -726,58 +724,64 @@ class TestRawColumn:
                                 ).at_distance(distance)
         record, _ = _block_draws(params, 2 * _TILE + 37, monkeypatch)
         mags, gamma = record["mags"], record["gamma"]
-        assert record["stride"] == _SUBSAMPLE == 32
-        rate, rate_ps = _node_rates(mags, gamma, params, _SUBSAMPLE)
+        assert record["screen"]
+        rate, rate_ps = _node_rates(mags, gamma, params)
         full, full_ps = certified_rates(mags, gamma, params)
-        terms = _rate_terms(mags, gamma, params, slice(0))
-        screened = terms.screened
-        sampled = screened & (np.arange(len(gamma)) % _SUBSAMPLE == 0)
-        rest = screened & ~sampled
-        assert 0.9 < screened.mean() < 1.0 and sampled.sum() > 200
+        mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
+        screened = _screened(mi, mi_err, chi_low, chi_low_err)
+        assert 0.9 < screened.mean() < 1.0
         assert np.array_equal(rate[~screened], full[~screened])
-        assert np.array_equal(rate[rest], (terms.mi - terms.chi_low)[rest])
-        correction = (_SUBSAMPLE - 1) * (terms.chi_low - _rate_terms(mags, gamma, params).chi)
-        assert np.array_equal(rate[sampled], (full + correction)[sampled])
+        assert np.array_equal(rate[screened], (mi - chi_low)[screened])
         assert np.array_equal(rate_ps, full_ps)
+        # Each row's raw term is at least its rate, to within the two terms' bounds.
+        err = _rate_terms(mags, gamma, params).err
+        assert np.all(rate >= full - err - mi_err - chi_low_err)
+        assert (rate[screened] > full[screened]).mean() > 0.99
 
     @pytest.mark.parametrize("convention, distance", [("trace", 2.0), ("amplitude", 4.0)])
-    def test_mean_over_offsets_is_the_full_sum(self, convention, distance):
-        """Each screened row lands in the subsample at exactly one of the
-        _SUBSAMPLE cyclic shifts of a batch, so the raw column's sum averaged
-        over the shifts is the full-chi sum: the estimator's unbiasedness,
-        checked on fixed rows."""
+    def test_each_row_is_its_own(self, convention, distance):
+        """A row's raw term does not depend on its index in the batch: a
+        cyclic shift of the rows shifts the column, bit for bit."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         mags, gamma = _mixture_draws(params, 2 * _TILE, seed=70)
-        full = certified_rates(mags, gamma, params)[0]
-        sums = [_node_rates(np.roll(mags, shift, axis=0), np.roll(gamma, shift), params,
-                            _SUBSAMPLE)[0].sum() for shift in range(_SUBSAMPLE)]
-        assert np.mean(sums) == pytest.approx(full.sum(), rel=1e-12, abs=0.0)
-        assert np.ptp(sums) > 1e-6 * np.abs(full).sum()  # the shifts differ
+        rate, rate_ps = _node_rates(mags, gamma, params)
+        for shift in (1, 37, _TILE - 1):
+            shifted = _node_rates(np.roll(mags, shift, axis=0), np.roll(gamma, shift), params)
+            assert np.array_equal(shifted[0], np.roll(rate, shift))
+            assert np.array_equal(shifted[1], np.roll(rate_ps, shift))
 
     @pytest.mark.parametrize("convention, distance", [
         ("trace", 1.0), ("trace", 2.0), ("amplitude", 3.0)])
-    def test_mean_within_three_se_of_full_chi(self, convention, distance, monkeypatch):
+    def test_estimate_bounds_the_full_chi_mean(self, convention, distance, monkeypatch):
         """One block's raw estimate against the weighted full-chi mean of the
-        same draws."""
+        same draws: above it by less than 0.01 bits, below the block's
+        post-selected estimate, and with the plain iid standard error of its
+        own column."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0), overlap_convention=convention
                                 ).at_distance(distance)
         record, sums = _block_draws(params, BLOCK_SIZE, monkeypatch, seed=23, block=0)
         raw = cvconf.rates._estimate_from_sums(sums[0, 0], sums[0, 1], BLOCK_SIZE)
-        assert raw == estimate_rates_mc(params, BLOCK_SIZE, seed=23)[0]
+        post = cvconf.rates._estimate_from_sums(sums[1, 0], sums[1, 1], BLOCK_SIZE)
+        assert (raw, post) == estimate_rates_mc(params, BLOCK_SIZE, seed=23)
+        weight = record["weight"]
         full = certified_rates(record["mags"], record["gamma"], params)[0]
-        full_mean = float((record["weight"] * full).sum()) / BLOCK_SIZE
-        assert raw.std_error > 0.0
-        assert abs(raw.value - full_mean) <= 3.0 * raw.std_error
+        full_mean = float((weight * full).sum()) / BLOCK_SIZE
+        assert full_mean < raw.value < full_mean + 0.01
+        assert raw.value < post.value
+        terms = weight * _node_rates(record["mags"], record["gamma"], params)[0]
+        assert raw.value == pytest.approx(terms.mean(), rel=1e-12, abs=0.0)
+        iid_se = terms.std(ddof=1) / math.sqrt(BLOCK_SIZE)
+        assert raw.std_error == pytest.approx(iid_se, rel=1e-9, abs=0.0)
 
     def test_lossless_raw_column_is_the_information(self):
         """At unit transmissivity chi and chi(A; E_A) are exactly 0, so every
-        row's raw term is its I, screened, subsampled or not."""
+        row's raw term is its I, screened or not."""
         params = ProtocolParams(tau=(1.0, 1.0, 1.0))
         mags, gamma = _mixture_draws(params, _TILE, seed=71)
-        rate, _ = _node_rates(mags, gamma, params, _SUBSAMPLE)
-        terms = _rate_terms(mags, gamma, params, slice(0))
-        assert terms.screened[::_SUBSAMPLE].any() and terms.screened.any()
+        rate, _ = _node_rates(mags, gamma, params)
+        terms = _rate_terms(mags, gamma, params, screen=True)
+        assert (~terms.live).any() and terms.live.any()
         assert not terms.chi_low.any()
         assert np.array_equal(rate, terms.mi)
 
@@ -787,33 +791,30 @@ class TestLosslessOwnTap:
     chi(A; E_A) = (0, 0), the closed form's value there, without computing it."""
 
     @staticmethod
-    def columns(mags, gamma, params, stride):
-        """(rate, rate_ps) of the node loop at ``stride`` from the closed form
-        computed on every row and the full spectra."""
+    def columns(mags, gamma, params, screen):
+        """(rate, rate_ps) of the node loop, with or without its screen, from
+        the closed form computed on every row and the full spectra."""
         mi, mi_err, chi_low, chi_low_err = _own_tap_terms(mags, gamma, params)
-        screened = _screened(mi, mi_err, chi_low, chi_low_err)
+        screened = _screened(mi, mi_err, chi_low, chi_low_err) & screen
         terms = _rate_terms(mags, gamma, params)
         full = terms.mi - terms.chi
-        rate = np.where(screened, mi - chi_low, full)
-        sampled = screened & (np.arange(len(gamma)) % stride == 0)
-        rate[sampled] = full[sampled] + (stride - 1) * (chi_low - terms.chi)[sampled]
-        return rate, np.where(full > terms.err, full, 0.0)
+        return np.where(screened, mi - chi_low, full), np.where(full > terms.err, full, 0.0)
 
     @pytest.mark.parametrize("tau", [(1.0, 1.0, 1.0), (1.0, 0.5, 0.5)])
     def test_node_loop_never_computes_it(self, tau, monkeypatch):
         """At tau = (1, 0.5, 0.5) only A is lossless: chi is not 0."""
         params = ProtocolParams(tau=tau)
         mags, gamma = _mixture_draws(params, _TILE + 37, seed=74)
-        want = {stride: self.columns(mags, gamma, params, stride) for stride in (1, _SUBSAMPLE)}
-        assert _screen(mags, gamma, params)[::_SUBSAMPLE].any()  # some rows take the correction
+        want = {screen: self.columns(mags, gamma, params, screen) for screen in (False, True)}
+        assert _screen(mags, gamma, params).any()  # some rows take chi(A; E_A)
         assert _rate_terms(mags, gamma, params).chi.any() == (tau[1] < 1.0)
 
         def raising(*args):
             raise AssertionError("chi(A; E_A) computed where A is lossless")
 
         monkeypatch.setattr(cvconf.rates, "_own_tap_holevo_with_bound", raising)
-        for stride, (rate, rate_ps) in want.items():
-            got = _node_rates(mags, gamma, params, stride)
+        for screen, (rate, rate_ps) in want.items():
+            got = _node_rates(mags, gamma, params, screen)
             assert got[0].tobytes() == rate.tobytes()
             assert got[1].tobytes() == rate_ps.tobytes()
         assert quadrature_cross_check(params, nodes_per_axis=8).value > 0.0
@@ -866,9 +867,9 @@ class TestQuadratureCrossCheck:
         rows = []
         node_rates = cvconf.rates._node_rates
 
-        def counting(mags, gamma, params, stride):
+        def counting(mags, gamma, params, screen=True):
             rows.append(gamma.copy())
-            return node_rates(mags, gamma, params, stride)
+            return node_rates(mags, gamma, params, screen)
 
         monkeypatch.setattr(cvconf.rates, "_node_rates", counting)
         quad = quadrature_cross_check(ProtocolParams(tau=(1.0, 1.0, 1.0)), nodes_per_axis=8)

@@ -236,14 +236,20 @@ def test_one_row_evaluation():
 
 def test_monte_carlo_block_runs_the_node_loop():
     """The Monte-Carlo block evaluates its rows through the screened node
-    loop ``rates._node_rates`` at stride ``_SUBSAMPLE``, and never through the
-    full-chi oracle ``certified_rates``."""
+    loop ``rates._node_rates``, and never through the full-chi oracle
+    ``certified_rates``.  The loop has no stride: no ``_SUBSAMPLE`` or
+    ``stride`` name is left in ``rates``, and ``_node_rates`` takes none."""
     tree = ast.parse((SRC / "rates.py").read_text(encoding="utf-8"))
     block = _function(tree, "_mc_block")
     names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
-    assert {"_node_rates", "_SUBSAMPLE"} <= names
+    assert "_node_rates" in names
     assert "certified_rates" not in names
     assert "_rate_terms" not in names
+    everywhere = {getattr(node, "id", None) or getattr(node, "arg", None) or
+                  getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert not {"_SUBSAMPLE", "stride"} & everywhere
+    loop = _function(tree, "_node_rates")
+    assert [arg.arg for arg in loop.args.args] == ["mags", "gamma", "params", "screen"]
 
 
 def test_parity_sums_are_one_butterfly():
